@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload fattree-flows --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload fattree-flows --seed 1 --seconds 10 --trace 0
 
 The workload runs in this process, serially, with ``CONTRA_PROCS``,
 ``CONTRA_SANITIZE`` and ``CONTRA_EXPERIMENT_PRESET`` pinned.  It repeats
@@ -44,8 +44,8 @@ EXPECTED_PATH = Path(__file__).resolve().parent / "expected.json"
 PINNED_ENV = {"CONTRA_PROCS": "1", "CONTRA_SANITIZE": "0",
               "CONTRA_EXPERIMENT_PRESET": "quick"}
 
-#: Passes a timed run makes at least, so set-up is measured several times.
-MIN_PASSES = 3
+#: Passes a run makes at least, so every call is timed more than once.
+MIN_PASSES = 2
 #: Set-up samples wanted per run: after the timed passes, set-up-only
 #: passes (every point built, none run) top the count up, within
 #: :data:`SETUP_SHARE` of ``--seconds``.
@@ -332,7 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=SIZES, default="full")
     parser.add_argument("--record", action="store_true",

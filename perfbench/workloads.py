@@ -1,9 +1,11 @@
 """The benchmark's workloads as direct call sequences into each layer.
 
-A workload is a function ``(seed, spans, size) -> points`` that performs one
-*pass*: it builds every grid point of the workload from scratch through the
-public entry point of each layer and runs it to completion (a closed load:
-one point at a time, serial, in this process).  Each call is wrapped in a
+A workload is a function ``(seed, spans, size, points) -> points`` that
+performs one *pass*: it builds every grid point of the workload from scratch
+through the public entry point of each layer and runs it to completion (a
+closed load: one point at a time, serial, in this process), appending each
+finished point to ``points`` so that a pass which raises keeps what it
+finished.  Each call is wrapped in a
 :class:`Spans` span named after the layer it enters, so the caller can read
 set-up, run and summary time per system without instrumenting the program.
 

@@ -28,14 +28,16 @@ def next_hop_table(topology, all_hops: bool) -> Dict[str, Dict[str, List[str]]]:
     the fluid path models (:mod:`repro.simulator.fluid`) share one table
     computation.
     """
-    table: Dict[str, Dict[str, List[str]]] = {s: {} for s in topology.switches}
+    switches = topology.switches
+    table: Dict[str, Dict[str, List[str]]] = {s: {} for s in switches}
     lengths = topology.shortest_path_lengths()
-    for src in topology.switches:
-        for dst in topology.switches:
+    for src in switches:
+        neighbors = topology.switch_neighbors(src)
+        for dst in switches:
             if src == dst or dst not in lengths[src]:
                 continue
             hops = [
-                nbr for nbr in topology.switch_neighbors(src)
+                nbr for nbr in neighbors
                 if dst in lengths[nbr] and lengths[nbr][dst] + 1 == lengths[src][dst]
             ]
             hops.sort()

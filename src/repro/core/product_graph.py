@@ -65,6 +65,8 @@ class ProductGraph:
         #: All virtual nodes, in deterministic order.
         self.nodes: List[PGNode] = []
         self._node_index: Dict[PGNode, int] = {}
+        #: switch -> its virtual nodes, in ``nodes`` order.
+        self._by_switch: Dict[str, List[PGNode]] = {}
         #: Probe-propagation edges: node -> successors (towards traffic sources).
         self.out_edges: Dict[PGNode, List[PGNode]] = {}
         self.in_edges: Dict[PGNode, List[PGNode]] = {}
@@ -82,6 +84,7 @@ class ProductGraph:
             return False
         self._node_index[node] = len(self.nodes)
         self.nodes.append(node)
+        self._by_switch.setdefault(node.switch, []).append(node)
         self.out_edges[node] = []
         self.in_edges[node] = []
         return True
@@ -106,9 +109,11 @@ class ProductGraph:
                 successor = PGNode(neighbor, next_states)
                 if self._add_node(successor):
                     queue.append(successor)
-                if successor not in self.out_edges[node]:
-                    self.out_edges[node].append(successor)
-                    self.in_edges[successor].append(node)
+                # No duplicate check: each node is expanded once and its
+                # neighbours are distinct switches, so every successor of
+                # ``node`` sits on a different switch and is new to its list.
+                self.out_edges[node].append(successor)
+                self.in_edges[successor].append(node)
 
         self._assign_tags()
 
@@ -122,6 +127,14 @@ class ProductGraph:
             per_switch[node.switch] = tag + 1
             self.tags[node] = tag
             self._by_tag[(node.switch, tag)] = node
+
+    def _set_nodes(self, nodes: List[PGNode]) -> None:
+        """Replace ``nodes`` and rebuild the indexes derived from it."""
+        self.nodes = nodes
+        self._node_index = {n: i for i, n in enumerate(nodes)}
+        self._by_switch = {}
+        for node in nodes:
+            self._by_switch.setdefault(node.switch, []).append(node)
 
     # ---------------------------------------------------------------- queries
 
@@ -139,7 +152,8 @@ class ProductGraph:
         return self.tags[node]
 
     def nodes_of_switch(self, switch: str) -> List[PGNode]:
-        return [n for n in self.nodes if n.switch == switch]
+        """The virtual nodes of ``switch``, in ``nodes`` order."""
+        return list(self._by_switch.get(switch, ()))
 
     def successors(self, node: PGNode) -> List[PGNode]:
         """Probe-propagation successors (towards traffic sources)."""
@@ -232,8 +246,7 @@ class ProductGraph:
         if keep_set >= set(self.nodes):
             return
         new_nodes = [n for n in self.nodes if n in keep_set]
-        self.nodes = new_nodes
-        self._node_index = {n: i for i, n in enumerate(new_nodes)}
+        self._set_nodes(new_nodes)
         self.out_edges = {
             n: [s for s in self.out_edges[n] if s in keep_set] for n in new_nodes}
         self.in_edges = {
@@ -303,8 +316,7 @@ class ProductGraph:
                 if succ_rep not in new_out[rep]:
                     new_out[rep].append(succ_rep)
                     new_in[succ_rep].append(rep)
-        self.nodes = new_nodes
-        self._node_index = {n: i for i, n in enumerate(new_nodes)}
+        self._set_nodes(new_nodes)
         self.out_edges = new_out
         self.in_edges = new_in
         self.probe_sending_nodes = {

@@ -17,13 +17,37 @@ measures) are invariant to this scaling; see DESIGN.md §4.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import TopologyError
 
 __all__ = ["Link", "Topology", "NodeKind"]
+
+_INF = float("inf")
+
+#: A switch graph indexed for :func:`_dijkstra`: (names, name -> index,
+#: adjacency lists of (neighbor index, link cost)).
+_Adjacency = Tuple[List[str], Dict[str, int], List[List[Tuple[int, float]]]]
+
+
+def _dijkstra(adj: List[List[Tuple[int, float]]], src: int) -> List[float]:
+    """Shortest distances from ``src`` over an indexed adjacency (inf if unreached)."""
+    dist = [_INF] * len(adj)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, node = pop(heap)
+        if d > dist[node]:
+            continue
+        for nbr, step in adj[node]:
+            nd = d + step
+            if nd < dist[nbr]:
+                dist[nbr] = nd
+                push(heap, (nd, nbr))
+    return dist
 
 
 class NodeKind:
@@ -88,12 +112,16 @@ class Topology:
         self._nodes: Dict[str, str] = {}              # node -> kind
         self._links: Dict[Tuple[str, str], Link] = {}  # directed
         self._host_attachment: Dict[str, str] = {}     # host -> switch
-        #: Lazily built adjacency index (node -> sorted out-neighbors).
-        #: Without it every ``neighbors`` call scans all links, which turns
-        #: the compiler's all-pairs passes (``max_rtt``, shortest paths) into
-        #: O(V·V·E) and dominates compile time beyond a few hundred switches.
+        #: Lazily built adjacency index (node -> sorted out-neighbors), so a
+        #: ``neighbors`` call does not scan every link.
         self._neighbor_index: Dict[str, List[str]] = {}
         self._neighbor_index_built = False
+        #: Memoised switch-graph searches, dropped with the neighbor index on
+        #: every change to the nodes or links: the integer-indexed
+        #: adjacencies behind the shortest-path searches (see
+        #: ``_switch_adjacency``) and ``max_rtt``.
+        self._adjacency_memo: Dict[Tuple[Optional[str], bool], _Adjacency] = {}
+        self._max_rtt_memo: Optional[float] = None
 
     # ------------------------------------------------------------------ nodes
 
@@ -105,6 +133,7 @@ class Topology:
         if existing is not None and existing not in NodeKind.SWITCH_ROLES:
             raise TopologyError(f"node {node!r} already exists as a host")
         self._nodes[node] = role
+        self._invalidate_neighbor_index()
 
     def add_host(self, host: str, switch: str) -> None:
         """Add a host attached to ``switch``; the attachment link is added separately."""
@@ -196,9 +225,11 @@ class Topology:
         self._invalidate_neighbor_index()
 
     def _invalidate_neighbor_index(self) -> None:
-        if self._neighbor_index_built:
-            self._neighbor_index = {}
-            self._neighbor_index_built = False
+        """Drop every index and search result derived from the nodes and links."""
+        self._neighbor_index = {}
+        self._neighbor_index_built = False
+        self._adjacency_memo = {}
+        self._max_rtt_memo = None
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._links
@@ -262,30 +293,46 @@ class Topology:
     def shortest_path_lengths(self, weighted: bool = False) -> Dict[str, Dict[str, float]]:
         """All-pairs shortest path lengths over the switch graph.
 
-        Uses BFS for hop counts and Dijkstra when ``weighted`` is true (link
-        ``weight`` attribute).  Only switches are considered.
+        Hop counts, or link ``weight`` sums when ``weighted`` is true.  Only
+        switches are considered.
         """
-        lengths: Dict[str, Dict[str, float]] = {}
-        for src in self.switches:
-            lengths[src] = self._single_source_lengths(src, weighted)
-        return lengths
+        return {src: self._single_source_lengths(src, weighted) for src in self.switches}
 
-    def _single_source_lengths(self, src: str, weighted: bool) -> Dict[str, float]:
-        import heapq
+    def _switch_adjacency(self, cost: Optional[str], reverse: bool = False) -> _Adjacency:
+        """The switch graph as ``(names, index, adj)`` for :func:`_dijkstra`.
 
-        dist: Dict[str, float] = {src: 0.0}
-        heap: List[Tuple[float, str]] = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for nbr in self.switch_neighbors(node):
-                step = self._links[(node, nbr)].weight if weighted else 1.0
-                nd = d + step
-                if nd < dist.get(nbr, float("inf")):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        return dist
+        ``names`` is :attr:`switches`, ``index`` maps a name to its position
+        and ``adj[i]`` lists ``(j, c)`` for every switch-to-switch link
+        ``i -> j`` (``j -> i`` when ``reverse``), ``c`` being the link's
+        ``cost`` attribute, or 1.0 when ``cost`` is None.  Memoised until the
+        topology changes.
+        """
+        key = (cost, reverse)
+        cached = self._adjacency_memo.get(key)
+        if cached is None:
+            names = self.switches
+            index = {name: i for i, name in enumerate(names)}
+            adj: List[List[Tuple[int, float]]] = [[] for _ in names]
+            for (src, dst), link in self._links.items():
+                i, j = index.get(src), index.get(dst)
+                if i is None or j is None:
+                    continue
+                step = getattr(link, cost) if cost else 1.0
+                if reverse:
+                    adj[j].append((i, step))
+                else:
+                    adj[i].append((j, step))
+            cached = self._adjacency_memo[key] = (names, index, adj)
+        return cached
+
+    def _single_source_lengths(self, src: str, weighted: bool,
+                               reverse: bool = False) -> Dict[str, float]:
+        """Shortest lengths from ``src`` (to ``src`` when ``reverse``)."""
+        names, index, adj = self._switch_adjacency("weight" if weighted else None, reverse)
+        if src not in index:
+            raise TopologyError(f"unknown switch {src!r}")
+        dist = _dijkstra(adj, index[src])
+        return {names[i]: d for i, d in enumerate(dist) if d != _INF}
 
     def shortest_paths(self, src: str, dst: str, weighted: bool = False) -> List[List[str]]:
         """All shortest switch-level paths from ``src`` to ``dst``.
@@ -298,7 +345,7 @@ class Topology:
         dist_from_src = self._single_source_lengths(src, weighted)
         if dst not in dist_from_src:
             return []
-        dist_to_dst = self._reverse_lengths(dst, weighted)
+        dist_to_dst = self._single_source_lengths(dst, weighted, reverse=True)
         total = dist_from_src[dst]
         paths: List[List[str]] = []
 
@@ -318,25 +365,6 @@ class Topology:
 
         extend([src])
         return sorted(paths)
-
-    def _reverse_lengths(self, dst: str, weighted: bool) -> Dict[str, float]:
-        import heapq
-
-        dist: Dict[str, float] = {dst: 0.0}
-        heap: List[Tuple[float, str]] = [(0.0, dst)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for src_node in self.switches:
-                if (src_node, node) not in self._links:
-                    continue
-                step = self._links[(src_node, node)].weight if weighted else 1.0
-                nd = d + step
-                if nd < dist.get(src_node, float("inf")):
-                    dist[src_node] = nd
-                    heapq.heappush(heap, (nd, src_node))
-        return dist
 
     def all_simple_paths(self, src: str, dst: str, cutoff: Optional[int] = None) -> List[List[str]]:
         """All simple switch-level paths up to ``cutoff`` hops (inclusive)."""
@@ -395,25 +423,15 @@ class Topology:
         """The highest round-trip propagation time between any pair of switches.
 
         Contra's probe period must be at least 0.5x this value (§5.2).
+        Memoised until the topology changes.
         """
-        import heapq
-
-        worst = 0.0
-        for src in self.switches:
-            dist: Dict[str, float] = {src: 0.0}
-            heap: List[Tuple[float, str]] = [(0.0, src)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if d > dist.get(node, float("inf")):
-                    continue
-                for nbr in self.switch_neighbors(node):
-                    nd = d + self._links[(node, nbr)].latency
-                    if nd < dist.get(nbr, float("inf")):
-                        dist[nbr] = nd
-                        heapq.heappush(heap, (nd, nbr))
-            if dist:
-                worst = max(worst, max(dist.values()))
-        return 2.0 * worst
+        if self._max_rtt_memo is None:
+            _names, _index, adj = self._switch_adjacency("latency")
+            worst = 0.0
+            for src in range(len(adj)):
+                worst = max(worst, max(d for d in _dijkstra(adj, src) if d != _INF))
+            self._max_rtt_memo = 2.0 * worst
+        return self._max_rtt_memo
 
     # ------------------------------------------------------------------ misc
 

@@ -144,3 +144,35 @@ class TestTagMinimization:
     def test_repr(self, diamond):
         pg = build_product_graph(diamond, [])
         assert "ProductGraph" in repr(pg)
+
+
+class TestNodesOfSwitch:
+    """``nodes_of_switch`` agrees with a scan of ``nodes``, order included."""
+
+    @staticmethod
+    def assert_matches_scan(pg, topology):
+        for switch in topology.switches:
+            assert pg.nodes_of_switch(switch) == [n for n in pg.nodes if n.switch == switch]
+
+    def test_after_build_prune_and_minimize(self, diamond):
+        # Unminimised automata leave equivalent nodes for minimize_tags to merge.
+        regexes = [parse_regex("A .* D"), parse_regex(".* C .*")]
+        pg = build_product_graph(diamond, regexes, minimize_automata=False,
+                                 minimize_tags=False)
+        self.assert_matches_scan(pg, diamond)
+        assert len(pg.nodes_of_switch("B")) >= 2
+
+        origins = set(pg.probe_sending_nodes.values())
+        dropped = next(n for n in reversed(pg.nodes) if n not in origins)
+        pg.restrict_to(n for n in pg.nodes if n != dropped)
+        assert dropped not in pg.nodes_of_switch(dropped.switch)
+        self.assert_matches_scan(pg, diamond)
+
+        before = pg.num_nodes
+        pg.minimize_tags()
+        assert pg.num_nodes < before
+        self.assert_matches_scan(pg, diamond)
+
+    def test_unknown_switch_has_no_nodes(self, diamond):
+        pg = build_product_graph(diamond, [])
+        assert pg.nodes_of_switch("Z") == []

@@ -1,5 +1,7 @@
 """Unit tests for the topology substrate."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +183,128 @@ class TestTopologyAlgorithms:
         graph = self.build_square().to_networkx()
         assert graph.number_of_nodes() == 4
         assert graph.number_of_edges() == 8
+
+
+def reference_lengths(topo, src, cost):
+    """Dict-based Dijkstra over switch-to-switch links, kept independent of
+    :mod:`repro.topology.graph` (``cost`` is a link attribute, or None for hops)."""
+    out = {}
+    for link in topo.links:
+        if topo.is_switch(link.src) and topo.is_switch(link.dst):
+            out.setdefault(link.src, []).append(
+                (link.dst, getattr(link, cost) if cost else 1.0))
+    dist = {src: 0.0}
+    heap = [(0.0, src)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for nbr, step in out.get(node, ()):
+            if d + step < dist.get(nbr, float("inf")):
+                dist[nbr] = d + step
+                heapq.heappush(heap, (d + step, nbr))
+    return dist
+
+
+def reference_max_rtt(topo):
+    return 2.0 * max((max(reference_lengths(topo, s, "latency").values())
+                      for s in topo.switches), default=0.0)
+
+
+COSTS = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 1 / 3, 0.7]),
+                  st.floats(min_value=0.0, max_value=2.0))
+
+
+@st.composite
+def small_topologies(draw):
+    """Up to 7 switches with one-way and two-way links of mixed latency and
+    weight (possibly disconnected), plus hosts on slow links."""
+    switches = [f"s{i}" for i in range(draw(st.integers(1, 7)))]
+    topo = Topology("random-small")
+    for switch in switches:
+        topo.add_switch(switch)
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = draw(st.sampled_from(switches)), draw(st.sampled_from(switches))
+        bidirectional = draw(st.booleans())
+        if a == b or topo.has_link(a, b) or (bidirectional and topo.has_link(b, a)):
+            continue
+        topo.add_link(a, b, latency=draw(COSTS), weight=draw(COSTS),
+                      bidirectional=bidirectional)
+    for h in range(draw(st.integers(0, 3))):
+        host = f"h{h}"
+        topo.add_host(host, draw(st.sampled_from(switches)))
+        # Far slower than any switch link: counting hosts would change max_rtt.
+        topo.add_link(host, topo.attachment_switch(host), latency=50.0, weight=50.0)
+    return topo
+
+
+class TestShortestPathSearch:
+    """The indexed searches equal a plain dict-based Dijkstra exactly."""
+
+    @given(small_topologies())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_dijkstra(self, topo):
+        assert topo.max_rtt() == reference_max_rtt(topo)
+        for weighted, cost in ((False, None), (True, "weight")):
+            assert topo.shortest_path_lengths(weighted=weighted) == {
+                s: reference_lengths(topo, s, cost) for s in topo.switches}
+
+    @given(small_topologies())
+    @settings(max_examples=50, deadline=None)
+    def test_shortest_paths_are_the_minimal_simple_paths(self, topo):
+        lengths = topo.shortest_path_lengths()
+        for src in topo.switches:
+            for dst in topo.switches:
+                if src == dst:
+                    continue
+                expected = [p for p in topo.all_simple_paths(src, dst)
+                            if len(p) - 1 == lengths[src].get(dst)]
+                assert topo.shortest_paths(src, dst) == expected
+
+    def line(self):
+        topo = Topology("line")
+        for s in "ABC":
+            topo.add_switch(s)
+        topo.add_link("A", "B", latency=0.05)
+        topo.add_link("B", "C", latency=0.05)
+        return topo
+
+    def test_memo_follows_link_changes(self):
+        topo = self.line()
+        assert topo.max_rtt() == 0.2
+        assert topo.shortest_path_lengths()["A"]["C"] == 2
+        topo.add_link("A", "C", latency=0.05)
+        assert topo.max_rtt() == 0.1
+        assert topo.shortest_path_lengths()["A"]["C"] == 1
+        failed = topo.with_failed_link("A", "C")
+        assert failed.max_rtt() == 0.2
+        assert topo.max_rtt() == 0.1
+        topo.remove_link("A", "C")
+        assert topo.max_rtt() == 0.2
+        assert topo.shortest_path_lengths()["A"]["C"] == 2
+
+    def test_memo_follows_new_switches(self):
+        topo = self.line()
+        assert topo.max_rtt() == 0.2
+        topo.add_switch("D")
+        assert "D" in topo.shortest_path_lengths()
+        topo.add_link("C", "D", latency=0.05)
+        assert topo.max_rtt() == pytest.approx(0.3)
+        assert topo.max_rtt() == reference_max_rtt(topo)
+
+    def test_unknown_switch_raises(self):
+        with pytest.raises(TopologyError):
+            self.line().shortest_paths("Z", "A")
+
+    def test_copy_starts_with_fresh_memo(self):
+        topo = self.line()
+        topo.max_rtt()
+        topo.shortest_path_lengths()
+        clone = topo.copy()
+        assert clone._max_rtt_memo is None and clone._adjacency_memo == {}
+        clone.add_link("A", "C", latency=0.05)
+        assert clone.max_rtt() == 0.1
+        assert topo.max_rtt() == 0.2
 
 
 class TestFattree:

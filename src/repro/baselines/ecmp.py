@@ -16,35 +16,7 @@ from repro.simulator.network import Network, RoutingSystem
 from repro.simulator.packet import Packet
 from repro.simulator.switchnode import RoutingLogic
 
-__all__ = ["EcmpSystem", "ShortestPathSystem", "next_hop_table"]
-
-
-def next_hop_table(topology, all_hops: bool) -> Dict[str, Dict[str, List[str]]]:
-    """For every switch, the shortest-path next hops towards every other switch.
-
-    ``all_hops`` keeps every equal-cost next hop (ECMP); otherwise only the
-    lexicographically first one (single shortest path).  Takes a bare
-    :class:`~repro.topology.graph.Topology` so both the packet systems and
-    the fluid path models (:mod:`repro.simulator.fluid`) share one table
-    computation.
-    """
-    switches = topology.switches
-    table: Dict[str, Dict[str, List[str]]] = {s: {} for s in switches}
-    lengths = topology.shortest_path_lengths()
-    for src in switches:
-        neighbors = topology.switch_neighbors(src)
-        for dst in switches:
-            if src == dst or dst not in lengths[src]:
-                continue
-            hops = [
-                nbr for nbr in neighbors
-                if dst in lengths[nbr] and lengths[nbr][dst] + 1 == lengths[src][dst]
-            ]
-            hops.sort()
-            if not hops:
-                continue
-            table[src][dst] = hops if all_hops else hops[:1]
-    return table
+__all__ = ["EcmpSystem", "ShortestPathSystem"]
 
 
 class _HashingLogic(RoutingLogic):
@@ -85,7 +57,8 @@ class EcmpSystem(RoutingSystem):
         self._table: Dict[str, Dict[str, List[str]]] = {}
 
     def prepare(self, network: Network) -> None:
-        self._table = next_hop_table(network.topology, all_hops=self._all_hops)
+        # Shared with every other user of the topology: read-only.
+        self._table = network.topology.next_hop_table(self._all_hops)
 
     def create_switch_logic(self, switch: str) -> RoutingLogic:
         return _HashingLogic(self)

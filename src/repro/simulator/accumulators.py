@@ -32,6 +32,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["StreamingHistogram", "ReservoirSampler", "HyperLogLog"]
 
+#: ``2.0 ** -rank`` for every rank a HyperLogLog register can hold (at most
+#: 61, at precision 4): ``estimate`` sums lookups, in register order, to the
+#: same float the per-register powers give.
+_INVERSE_POWERS = tuple(2.0 ** -rank for rank in range(65))
+
 
 class StreamingHistogram:
     """Exact streaming percentiles over a discrete (integer-valued) stream."""
@@ -119,30 +124,43 @@ class HyperLogLog:
     whose repr embeds an ``id()``.
     """
 
-    __slots__ = ("precision", "_registers", "_tail_bits")
+    __slots__ = ("precision", "_registers")
 
     def __init__(self, precision: int = 10):
         if not 4 <= precision <= 16:
             raise ValueError(f"HyperLogLog precision must be in [4, 16], got {precision}")
         self.precision = precision
         self._registers = bytearray(1 << precision)
-        self._tail_bits = 64 - precision
+
+    @staticmethod
+    def slot(item, precision: int = 10) -> Tuple[int, int]:
+        """The ``(register index, rank)`` pair ``item`` updates at ``precision``.
+
+        A pure function of the item and the precision, so a caller offering
+        one item to many sketches of that precision hashes it once and hands
+        the slot to each sketch's :meth:`add_slot`.
+        """
+        digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        tail_bits = 64 - precision
+        tail = value & ((1 << tail_bits) - 1)
+        return value >> tail_bits, tail_bits - tail.bit_length() + 1
+
+    def add_slot(self, slot: Tuple[int, int]) -> None:
+        """Apply a :meth:`slot` computed at this sketch's precision."""
+        index, rank = slot
+        if rank > self._registers[index]:
+            self._registers[index] = rank
 
     def add(self, item) -> None:
         """Offer one item. O(1); duplicates never change the estimate."""
-        digest = hashlib.blake2b(repr(item).encode("utf-8"), digest_size=8).digest()
-        value = int.from_bytes(digest, "big")
-        index = value >> self._tail_bits
-        tail = value & ((1 << self._tail_bits) - 1)
-        rank = self._tail_bits - tail.bit_length() + 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
+        self.add_slot(self.slot(item, self.precision))
 
     def estimate(self) -> float:
         """Approximate number of distinct items offered so far."""
         m = len(self._registers)
         alpha = 0.7213 / (1.0 + 1.079 / m)
-        raw = alpha * m * m / sum(2.0 ** -r for r in self._registers)
+        raw = alpha * m * m / sum(map(_INVERSE_POWERS.__getitem__, self._registers))
         zeros = self._registers.count(0)
         if raw <= 2.5 * m and zeros:
             return m * math.log(m / zeros)

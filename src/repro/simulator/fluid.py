@@ -57,6 +57,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import SimulationError
 from repro.nputil import mean as _mean, percentile_linear as _percentile
 from repro.protocol.tables import stable_flow_hash
+from repro.simulator.accumulators import HyperLogLog
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import DATA_PACKET_BYTES
 from repro.simulator.stats import StatsCollector
@@ -276,8 +277,7 @@ class _HashWalkModel(FluidPathModel):
     def __init__(self, fabric: _Fabric, all_hops: bool):
         super().__init__(fabric)
         self.name = "ecmp" if all_hops else "shortest-path"
-        from repro.baselines.ecmp import next_hop_table
-        self._table = next_hop_table(fabric.topology, all_hops)
+        self._table = fabric.topology.next_hop_table(all_hops)
 
     def resolve(self, fhash, src_host, dst_host, util, failed):
         edges = self._host_edges(src_host, dst_host, failed)
@@ -325,8 +325,7 @@ class _GreedyUtilModel(FluidPathModel):
 
     def __init__(self, fabric: _Fabric):
         super().__init__(fabric)
-        from repro.baselines.ecmp import next_hop_table
-        self._table = next_hop_table(fabric.topology, all_hops=True)
+        self._table = fabric.topology.next_hop_table(all_hops=True)
 
     def resolve(self, fhash, src_host, dst_host, util, failed):
         edges = self._host_edges(src_host, dst_host, failed)
@@ -553,7 +552,7 @@ class FluidStats(StatsCollector):
 
 class _FlowState:
     __slots__ = ("uid", "fhash", "src", "dst", "start", "size",
-                 "path", "tag", "remaining")
+                 "path", "tag", "remaining", "sketch_slot")
 
     def __init__(self, uid: int, fhash: int, src: str, dst: str,
                  start: float, size: float):
@@ -569,6 +568,8 @@ class _FlowState:
         #: (``path is None``) — placed flows carry it implicitly as
         #: ``tag - group.service``.
         self.remaining = size
+        #: ``HyperLogLog.slot(uid)``, computed on first use by the sketch.
+        self.sketch_slot: Optional[Tuple[int, int]] = None
 
 
 class _PathGroup:
@@ -807,12 +808,21 @@ class FluidSimulation:
         heapq.heappush(group.tags, (state.tag, state.uid))
         group.count += 1
         if self.stats.flow_sketch:
-            link_switch = self._link_switch
-            record = self.stats.record_switch_flow
-            for link in path:
-                switch = link_switch[link]
-                if switch is not None:
-                    record(switch, state.uid)
+            self._sketch_flow(state, path)
+
+    def _sketch_flow(self, state: _FlowState, path: Tuple[int, ...]) -> None:
+        """Offer a placed flow to the cardinality sketch of every switch on
+        ``path``, hashing it only on its first placement."""
+        slot = state.sketch_slot
+        if slot is None:
+            slot = state.sketch_slot = HyperLogLog.slot(state.uid)
+        link_switch = self._link_switch
+        record = self.stats.record_switch_flow
+        uid = state.uid
+        for link in path:
+            switch = link_switch[link]
+            if switch is not None:
+                record(switch, uid, slot)
 
     def _apply_total(self, group: _PathGroup, new_total: float) -> None:
         """Move the group's reflected load (``count * rate``) to ``new_total``."""
@@ -1027,12 +1037,7 @@ class FluidSimulation:
         heapq.heappush(group.tags, (state.tag, state.uid))
         group.count += 1
         if self.stats.flow_sketch:
-            link_switch = self._link_switch
-            record = self.stats.record_switch_flow
-            for link in path:
-                switch = link_switch[link]
-                if switch is not None:
-                    record(switch, state.uid)
+            self._sketch_flow(state, path)
 
     # ------------------------------------------------------------ allocation
 

@@ -128,18 +128,24 @@ class StatsCollector:
 
     # ------------------------------------------------------- sketch extension
 
-    def record_switch_flow(self, switch: str, flow_id: int) -> None:
+    def record_switch_flow(self, switch: str, flow_id: int,
+                           slot: Optional[Tuple[int, int]] = None) -> None:
         """Offer a (switch, flow) observation to the cardinality sketch.
 
         No-op unless ``flow_sketch`` was requested; callers may invoke it
-        unconditionally on every flow placement.
+        unconditionally on every flow placement.  A caller offering one flow
+        to many switches may pass its ``HyperLogLog.slot(flow_id)`` as
+        ``slot`` so the flow is hashed once rather than once per switch.
         """
         if not self.flow_sketch:
             return
         sketch = self._flow_sketches.get(switch)
         if sketch is None:
             sketch = self._flow_sketches[switch] = HyperLogLog()
-        sketch.add(flow_id)
+        if slot is None:
+            sketch.add(flow_id)
+        else:
+            sketch.add_slot(slot)
 
     def flow_sketch_estimates(self) -> Dict[str, float]:
         """Per-switch distinct-flow estimates, in sorted switch order."""

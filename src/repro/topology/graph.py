@@ -30,6 +30,8 @@ _INF = float("inf")
 #: A switch graph indexed for :func:`_dijkstra`: (names, name -> index,
 #: adjacency lists of (neighbor index, link cost)).
 _Adjacency = Tuple[List[str], Dict[str, int], List[List[Tuple[int, float]]]]
+#: ``table[src][dst]`` -> next-hop switches (see ``Topology.next_hop_table``).
+NextHopTable = Dict[str, Dict[str, List[str]]]
 
 
 def _dijkstra(adj: List[List[Tuple[int, float]]], src: int) -> List[float]:
@@ -119,9 +121,10 @@ class Topology:
         #: Memoised switch-graph searches, dropped with the neighbor index on
         #: every change to the nodes or links: the integer-indexed
         #: adjacencies behind the shortest-path searches (see
-        #: ``_switch_adjacency``) and ``max_rtt``.
+        #: ``_switch_adjacency``), ``max_rtt`` and ``next_hop_table``.
         self._adjacency_memo: Dict[Tuple[Optional[str], bool], _Adjacency] = {}
         self._max_rtt_memo: Optional[float] = None
+        self._next_hop_memo: Dict[bool, NextHopTable] = {}
 
     # ------------------------------------------------------------------ nodes
 
@@ -230,6 +233,7 @@ class Topology:
         self._neighbor_index_built = False
         self._adjacency_memo = {}
         self._max_rtt_memo = None
+        self._next_hop_memo = {}
 
     def has_link(self, a: str, b: str) -> bool:
         return (a, b) in self._links
@@ -432,6 +436,44 @@ class Topology:
                 worst = max(worst, max(d for d in _dijkstra(adj, src) if d != _INF))
             self._max_rtt_memo = 2.0 * worst
         return self._max_rtt_memo
+
+    def next_hop_table(self, all_hops: bool = True) -> NextHopTable:
+        """For every switch, its shortest-path next hops towards every other switch.
+
+        ``table[src][dst]`` lists, in sorted order, the switch neighbours of
+        ``src`` one hop closer to ``dst``; unreachable pairs are absent.
+        ``all_hops`` keeps every equal-cost next hop (ECMP); otherwise only
+        the first one (the all-hops row's ``hops[:1]``, single shortest
+        path).  Memoised until the topology changes: every caller gets the
+        same table object, so it must be treated as read-only.
+        """
+        table = self._next_hop_memo.get(all_hops)
+        if table is None:
+            if all_hops:
+                table = self._all_next_hops()
+            else:
+                table = {src: {dst: hops[:1] for dst, hops in row.items()}
+                         for src, row in self.next_hop_table(True).items()}
+            self._next_hop_memo[all_hops] = table
+        return table
+
+    def _all_next_hops(self) -> NextHopTable:
+        switches = self.switches
+        table: NextHopTable = {s: {} for s in switches}
+        lengths = self.shortest_path_lengths()
+        for src in switches:
+            neighbors = self.switch_neighbors(src)
+            for dst in switches:
+                if src == dst or dst not in lengths[src]:
+                    continue
+                hops = [
+                    nbr for nbr in neighbors
+                    if dst in lengths[nbr] and lengths[nbr][dst] + 1 == lengths[src][dst]
+                ]
+                hops.sort()
+                if hops:
+                    table[src][dst] = hops
+        return table
 
     # ------------------------------------------------------------------ misc
 

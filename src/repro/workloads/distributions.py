@@ -19,11 +19,11 @@ distribution exposes ``sample`` / ``mean`` and is deterministic given a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import WorkloadError
+from repro.nputil import np
 
 __all__ = [
     "EmpiricalCDF",
@@ -33,8 +33,21 @@ __all__ = [
     "cache_distribution",
     "uniform_distribution",
     "distribution_by_name",
+    "default_rng",
     "WORKLOAD_NAMES",
 ]
+
+
+def default_rng(seed) -> "np.random.Generator":
+    """``numpy.random.default_rng(seed)``, the generator every workload draws from.
+
+    Traffic is drawn from numpy's PCG64 streams, which have no pure-Python
+    equivalent, so without numpy this raises :class:`WorkloadError`.
+    """
+    if np is None:
+        raise WorkloadError("generating traffic needs numpy, which is not installed "
+                            "(install the 'fast' extra)")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -56,13 +69,26 @@ class EmpiricalCDF:
         if abs(self.points[-1][0] - 1.0) > 1e-9:
             raise WorkloadError(f"CDF {self.name!r} must end at probability 1.0")
 
-    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    @cached_property
+    def _arrays(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The CDF as (probabilities, sizes) arrays for ``np.interp``, built once."""
+        return (np.array([p for p, _ in self.points]),
+                np.array([s for _, s in self.points]))
+
+    def sample(self, rng: "np.random.Generator", count: int = 1) -> "np.ndarray":
         """Draw ``count`` flow sizes (packets, >= 1) by inverse-transform sampling."""
-        uniforms = rng.random(count)
-        probabilities = np.array([p for p, _ in self.points])
-        sizes = np.array([s for _, s in self.points])
-        sampled = np.interp(uniforms, probabilities, sizes)
+        probabilities, sizes = self._arrays
+        sampled = np.interp(rng.random(count), probabilities, sizes)
         return np.maximum(1, np.round(sampled)).astype(int)
+
+    def sample_one(self, rng: "np.random.Generator") -> int:
+        """One flow size: ``int(sample(rng, 1)[0])`` without the array round trip.
+
+        Consumes the same single uniform; Python's ``round`` and ``np.round``
+        both round half to even.
+        """
+        probabilities, sizes = self._arrays
+        return max(1, round(float(np.interp(rng.random(), probabilities, sizes))))
 
     def mean(self) -> float:
         """The expected flow size (packets) under the piecewise-linear CDF."""

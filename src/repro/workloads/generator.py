@@ -16,12 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import WorkloadError
 from repro.simulator.flow import Flow
 from repro.topology.graph import Topology
-from repro.workloads.distributions import EmpiricalCDF
+from repro.workloads.distributions import EmpiricalCDF, default_rng
 
 __all__ = [
     "WorkloadSpec",
@@ -148,14 +146,14 @@ def stream_workload(
     end = start_after + duration
 
     def sender_stream(index: int, sender: str):
-        gap_rng = np.random.default_rng((seed, index, 0))
-        size_rng = np.random.default_rng((seed, index, 1))
+        gap_rng = default_rng((seed, index, 0))
+        size_rng = default_rng((seed, index, 1))
         if pair_senders_receivers:
             options = [receivers[index]]
             dst_rng = None
         else:
             options = [r for r in receivers if r != sender]
-            dst_rng = np.random.default_rng((seed, index, 2))
+            dst_rng = default_rng((seed, index, 2))
         time = start_after
         seq = 0
         while True:
@@ -209,7 +207,7 @@ def split_senders_receivers(topology: Topology) -> Tuple[List[str], List[str]]:
 def random_pairs(topology: Topology, pairs: int, seed: int = 0,
                  distinct_switches: bool = True) -> Tuple[List[str], List[str]]:
     """Randomly chosen sender/receiver host pairs (the Abilene experiment uses 4)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts to pick pairs")
@@ -245,7 +243,7 @@ def incast_pairs(
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for incast traffic")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     if receiver is None:
         receiver = str(rng.choice(hosts))
     elif receiver not in hosts:
@@ -271,7 +269,7 @@ def permutation_pairs(topology: Topology, seed: int = 0) -> Tuple[List[str], Lis
     hosts = topology.hosts
     if len(hosts) < 2:
         raise WorkloadError("need at least two hosts for permutation traffic")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     perm = [int(i) for i in rng.permutation(len(hosts))]
     for i in range(len(perm)):
         if perm[i] == i:
@@ -334,22 +332,28 @@ def generate_workload(
     if pair_senders_receivers and len(senders) != len(receivers):
         raise WorkloadError("paired workloads need equally many senders and receivers")
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     mean_size = distribution.mean()
     per_sender_rate = load * host_capacity / mean_size  # flows per ms
+    scale = 1.0 / per_sender_rate
+    end = start_after + duration
 
     flows: List[Flow] = []
     for index, sender in enumerate(senders):
+        # Draws per flow: a gap, a receiver index (unpaired only: the same
+        # PCG64 draw ``rng.choice(candidates)`` makes), then a size.
+        candidates = None if pair_senders_receivers \
+            else [str(r) for r in receivers if r != sender]
         time = start_after
         while True:
-            time += float(rng.exponential(1.0 / per_sender_rate))
-            if time >= start_after + duration:
+            time += float(rng.exponential(scale))
+            if time >= end:
                 break
-            if pair_senders_receivers:
+            if candidates is None:
                 receiver = receivers[index]
             else:
-                receiver = str(rng.choice([r for r in receivers if r != sender]))
-            size = int(distribution.sample(rng, 1)[0])
+                receiver = candidates[rng.integers(0, len(candidates))]
+            size = distribution.sample_one(rng)
             flows.append(Flow(src_host=sender, dst_host=receiver,
                               size_packets=size, start_time=time))
             if max_flows is not None and len(flows) >= max_flows:

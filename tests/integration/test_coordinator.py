@@ -53,6 +53,13 @@ from repro.experiments.runner import (
     run_grid,
     spec_hash,
 )
+from repro.nputil import HAVE_NUMPY
+
+#: Tests that execute scenario points generate traffic, which draws from
+#: numpy's PCG64 streams (the ``collect_ignore`` rationale in
+#: tests/conftest.py).  The lease primitives and argument checks run without.
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="runs scenario points, whose traffic generation needs numpy")
 
 TINY = ExperimentConfig(workload_duration=1.5, run_duration=20.0, loads=(0.4,),
                         websearch_scale=0.05, cache_scale=0.2)
@@ -146,6 +153,7 @@ class TestLocalityGroups:
         assert group_label(compile_group_key(ecmp)) == "fattree(k=4)"
         assert "fattree(k=4)+" in group_label(compile_group_key(contra))
 
+    @needs_numpy
     def test_drain_visits_each_group_once(self, tmp_path):
         # Grid order interleaves the groups; a locality-preferring drain
         # still executes group-by-group (one compile per group, not per
@@ -158,6 +166,7 @@ class TestLocalityGroups:
         assert len(backend.groups_entered) == 2
         assert len(set(backend.groups_entered)) == 2
 
+    @needs_numpy
     def test_claims_skip_points_under_anothers_live_lease(self, tmp_path):
         specs = tiny_specs(("ecmp", "hula"))
         keys = [spec_hash(spec) for spec in specs]
@@ -168,6 +177,7 @@ class TestLocalityGroups:
         assert keys[1] in ResultsStore(tmp_path).load()
         assert keys[0] not in ResultsStore(tmp_path).load()
 
+    @needs_numpy
     def test_orphaned_lease_on_completed_point_is_ignored(self, tmp_path):
         # A worker killed between record and release leaves a lease on a
         # *complete* point; it must not wedge (or even delay) other workers.
@@ -183,6 +193,7 @@ class TestLocalityGroups:
 
 
 class TestCoordinatedByteIdentity:
+    @needs_numpy
     def test_single_worker_matches_serial(self, tmp_path):
         specs = tiny_specs(("ecmp", "contra"), loads=(0.4, 0.6))
         serial = run_grid(specs, backend=SerialBackend())
@@ -192,6 +203,7 @@ class TestCoordinatedByteIdentity:
         merged = collect_results(specs, ResultsStore(tmp_path))
         assert [r.summary for r in merged] == [r.summary for r in serial]
 
+    @needs_numpy
     def test_two_processes_one_store_converge(self, tmp_path):
         """Two real concurrent drain processes + the parent as collector."""
         specs = tiny_specs(("ecmp", "contra", "hula"), loads=(0.4, 0.6))
@@ -218,6 +230,7 @@ class TestCoordinatedByteIdentity:
         assert sorted(record["spec_hash"] for record in records) == \
             sorted(spec_hash(spec) for spec in specs)
 
+    @needs_numpy
     def test_killed_worker_is_reclaimed_and_report_is_identical(self, tmp_path):
         """The crash-safety satellite: die mid-lease, TTL lapse, reclaim."""
         class DiesAfterOne(SerialBackend):
@@ -264,6 +277,7 @@ class TestCoordinatedByteIdentity:
 
 
 class TestSweepStatus:
+    @needs_numpy
     def test_status_counts_groups_workers_and_leases(self, tmp_path):
         specs = tiny_specs(("ecmp", "contra"), loads=(0.4, 0.6))
         backend = CoordinatedBackend(tmp_path, owner="w0")
@@ -297,6 +311,7 @@ def _tiny_grid_entry():
 
 
 class TestScenarioCoordination:
+    @needs_numpy
     def test_coordinated_outcome_matches_unsharded(self, tmp_path, monkeypatch):
         from repro.experiments import registry
         monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
@@ -310,6 +325,7 @@ class TestScenarioCoordination:
         assert sum(w["executed"] for w in coordinated.workers) == 4
         assert "coordinated drain" in coordinated.text
 
+    @needs_numpy
     def test_two_invocations_split_the_work(self, tmp_path, monkeypatch):
         from repro.experiments import registry
         monkeypatch.setitem(registry.SCENARIOS, "fig13", _tiny_grid_entry())
@@ -352,6 +368,7 @@ class TestCliCoordination:
             cli.main(["sweep-status", "fig11",
                       "--results-dir", str(tmp_path / "nope")])
 
+    @needs_numpy
     def test_cli_coordinate_end_to_end(self, tmp_path, capsys, monkeypatch):
         """Two sequential --coordinate invocations + sweep-status + gc.
 
@@ -399,6 +416,7 @@ class TestCliCoordination:
         capsys.readouterr()
         assert second_json.read_bytes() == unsharded_json.read_bytes()
 
+    @needs_numpy
     def test_cli_merge_warns_on_live_leases(self, tmp_path, capsys, monkeypatch):
         from repro import cli
         from repro.experiments import registry
@@ -414,6 +432,7 @@ class TestCliCoordination:
         captured = capsys.readouterr()
         assert "1 live lease(s) remain" in captured.err
 
+    @needs_numpy
     def test_cli_gc_reports_lease_removal(self, tmp_path, capsys, monkeypatch):
         from repro import cli
         from repro.experiments import registry

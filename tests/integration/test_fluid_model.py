@@ -198,6 +198,49 @@ class TestMaxMinInvariant:
 
 
 # =============================================================================
+# Per-switch flow sketch: one hash per flow
+# =============================================================================
+
+def reference_sketch_flow(simulation, state, path):
+    """The placement loop before flows carried their sketch slot: it offered
+    the flow id to every switch's sketch, re-hashing it per switch."""
+    link_switch = simulation._link_switch
+    record = simulation.stats.record_switch_flow
+    for link in path:
+        switch = link_switch[link]
+        if switch is not None:
+            record(switch, state.uid)
+
+
+class TestFlowSketchSlots:
+    @pytest.mark.parametrize("system", ["ecmp", "contra"])
+    def test_churn_point_matches_per_switch_hashing(self, system, monkeypatch):
+        topology = fattree(4, capacity=TINY.host_capacity)
+        flows = small_workload(topology)
+
+        def run():
+            model = build_path_model(system, topology, policy="datacenter")
+            stats = FluidStats(flow_sketch=True)
+            simulation = FluidSimulation(topology, model, stats=stats)
+            simulation.add_flows(flows)
+            churned(simulation, topology)
+            simulation.run(40.0, stop_after_completion=True)
+            registers = {name: bytes(sketch._registers)
+                         for name, sketch in stats._flow_sketches.items()}
+            return stats.summary(), registers
+
+        summary, registers = run()
+        monkeypatch.setattr(FluidSimulation, "_sketch_flow", reference_sketch_flow)
+        expected_summary, expected_registers = run()
+        keys = [key for key in summary if key.startswith("flow_sketch_")]
+        assert keys == ["flow_sketch_switches", "flow_sketch_max_flows",
+                        "flow_sketch_mean_flows"]
+        assert summary["flow_sketch_switches"] == len(registers) > 10
+        assert registers == expected_registers
+        assert summary == expected_summary
+
+
+# =============================================================================
 # Sharding / resume / merge for fluid grids
 # =============================================================================
 

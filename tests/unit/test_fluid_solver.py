@@ -212,6 +212,48 @@ class TestHyperLogLog:
         left.merge(right)
         assert left.estimate() == union.estimate()
 
+    def test_slot_path_leaves_registers_identical_to_add(self):
+        rng = random.Random(7)
+        items = [rng.randrange(10**9) for _ in range(3_000)] \
+            + [("flow", i) for i in range(500)] + ["agg0", 0, -1]
+        for precision in (4, 10, 16):
+            added = HyperLogLog(precision)
+            slotted = HyperLogLog(precision)
+            for item in items:
+                added.add(item)
+                slotted.add_slot(HyperLogLog.slot(item, precision))
+            assert slotted._registers == added._registers, precision
+        assert HyperLogLog.slot(42) == HyperLogLog.slot(42, precision=10)
+
+    @staticmethod
+    def reference_estimate(sketch):
+        """``estimate`` with one ``2.0 ** -r`` power per register, as it was."""
+        registers = sketch._registers
+        m = len(registers)
+        alpha = 0.7213 / (1.0 + 1.079 / m)
+        raw = alpha * m * m / sum(2.0 ** -r for r in registers)
+        zeros = registers.count(0)
+        if raw <= 2.5 * m and zeros:
+            return m * math.log(m / zeros)
+        return raw
+
+    def test_estimate_equals_per_register_powers(self):
+        rng = random.Random(3)
+        for precision in (4, 10, 16):
+            max_rank = 64 - precision + 1
+            sketch = HyperLogLog(precision)
+            size = len(sketch._registers)
+            fills = [
+                [0] * size,                                   # empty
+                [rng.randrange(max_rank + 1) for _ in range(size)],  # random
+                [rng.randrange(1, 12) for _ in range(size)],  # saturated
+                [max_rank] * size,                            # maximum rank
+                [max_rank if i % 3 else 0 for i in range(size)],
+            ]
+            for fill in fills:
+                sketch._registers[:] = bytes(fill)
+                assert sketch.estimate() == self.reference_estimate(sketch)
+
     def test_precision_bounds_enforced(self):
         for bad in (3, 17):
             try:

@@ -307,6 +307,97 @@ class TestShortestPathSearch:
         assert topo.max_rtt() == 0.2
 
 
+def reference_next_hops(topo, all_hops):
+    """The next-hop table as ECMP computed it before it was memoised."""
+    switches = topo.switches
+    table = {s: {} for s in switches}
+    lengths = topo.shortest_path_lengths()
+    for src in switches:
+        neighbors = topo.switch_neighbors(src)
+        for dst in switches:
+            if src == dst or dst not in lengths[src]:
+                continue
+            hops = [
+                nbr for nbr in neighbors
+                if dst in lengths[nbr] and lengths[nbr][dst] + 1 == lengths[src][dst]
+            ]
+            hops.sort()
+            if not hops:
+                continue
+            table[src][dst] = hops if all_hops else hops[:1]
+    return table
+
+
+class TestNextHopTable:
+    @given(small_topologies())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, topo):
+        for all_hops in (True, False):
+            assert topo.next_hop_table(all_hops) == reference_next_hops(topo, all_hops)
+
+    def test_single_hop_table_is_the_first_of_all_hops(self):
+        topo = fattree(4)
+        hops = topo.next_hop_table(all_hops=True)
+        single = topo.next_hop_table(all_hops=False)
+        assert single == {src: {dst: row[:1] for dst, row in rows.items()}
+                          for src, rows in hops.items()}
+        assert any(len(row) > 1 for rows in hops.values() for row in rows.values())
+
+    def test_second_call_returns_the_same_table(self):
+        topo = fattree(4)
+        for all_hops in (True, False):
+            assert topo.next_hop_table(all_hops) is topo.next_hop_table(all_hops)
+
+    def test_memo_follows_topology_changes(self):
+        topo = TestShortestPathSearch().line()
+        table = topo.next_hop_table()
+        assert table["A"]["C"] == ["B"]
+        topo.add_link("A", "C", latency=0.05)
+        assert topo.next_hop_table()["A"]["C"] == ["C"]
+        topo.remove_link("A", "C")
+        assert topo.next_hop_table()["A"]["C"] == ["B"]
+        topo.add_switch("D")
+        assert topo.next_hop_table()["D"] == {}
+        topo.add_link("C", "D")
+        assert topo.next_hop_table(all_hops=False)["A"]["D"] == ["B"]
+        assert topo.next_hop_table() is not table
+
+    def test_copies_start_with_an_empty_memo(self):
+        topo = TestShortestPathSearch().line()
+        topo.add_link("A", "C", latency=0.05)
+        topo.next_hop_table()
+        topo.next_hop_table(all_hops=False)
+        assert topo._next_hop_memo
+        clone = topo.copy()
+        failed = topo.with_failed_link("A", "C")
+        assert clone._next_hop_memo == {}
+        assert failed.next_hop_table()["A"]["C"] == ["B"]
+        assert topo.next_hop_table()["A"]["C"] == ["C"]
+
+    def test_routing_systems_on_one_topology_share_one_search(self, monkeypatch):
+        from repro.baselines import EcmpSystem, ShortestPathSystem
+        from repro.simulator import Network
+        from repro.simulator.fluid import build_path_model
+
+        computed = []
+        search = Topology._all_next_hops
+
+        def counted(self):
+            computed.append(self)
+            return search(self)
+
+        monkeypatch.setattr(Topology, "_all_next_hops", counted)
+        topo = fattree(4)
+        ecmp = EcmpSystem()
+        Network(topo, ecmp)
+        Network(topo, ShortestPathSystem())
+        models = [build_path_model(system, topo)
+                  for system in ("ecmp", "shortest-path", "hula", "contra")]
+        assert computed == [topo]
+        assert models[0]._table is ecmp._table is models[2]._table
+        assert models[1]._table is topo.next_hop_table(all_hops=False)
+
+
 class TestFattree:
     def test_k4_counts(self):
         topo = fattree(4)

@@ -178,6 +178,120 @@ class TestGenerateWorkload:
         assert all(f.dst_host in spec.receivers for f in spec.flows)
 
 
+def reference_sample(distribution, rng, count):
+    """``EmpiricalCDF.sample`` as it was before the CDF arrays were cached."""
+    uniforms = rng.random(count)
+    probabilities = np.array([p for p, _ in distribution.points])
+    sizes = np.array([s for _, s in distribution.points])
+    sampled = np.interp(uniforms, probabilities, sizes)
+    return np.maximum(1, np.round(sampled)).astype(int)
+
+
+def reference_flows(topology, distribution, load, duration, host_capacity=10.0,
+                    seed=0, senders=None, receivers=None,
+                    pair_senders_receivers=False, max_flows=None,
+                    start_after=0.0):
+    """The eager generator's per-flow loop before its invariants were hoisted,
+    kept verbatim as the oracle: it rebuilt the candidate receivers and the
+    CDF arrays on every flow and drew the receiver with ``rng.choice``."""
+    if senders is None or receivers is None:
+        default_senders, default_receivers = split_senders_receivers(topology)
+        senders = list(senders) if senders is not None else default_senders
+        receivers = list(receivers) if receivers is not None else default_receivers
+    senders = list(senders)
+    receivers = list(receivers)
+    rng = np.random.default_rng(seed)
+    mean_size = distribution.mean()
+    per_sender_rate = load * host_capacity / mean_size  # flows per ms
+
+    flows = []
+    for index, sender in enumerate(senders):
+        time = start_after
+        while True:
+            time += float(rng.exponential(1.0 / per_sender_rate))
+            if time >= start_after + duration:
+                break
+            if pair_senders_receivers:
+                receiver = receivers[index]
+            else:
+                receiver = str(rng.choice([r for r in receivers if r != sender]))
+            size = int(reference_sample(distribution, rng, 1)[0])
+            flows.append((sender, receiver, size, time))
+            if max_flows is not None and len(flows) >= max_flows:
+                break
+        if max_flows is not None and len(flows) >= max_flows:
+            break
+
+    flows.sort(key=lambda f: f[3])
+    return [flow + (flow_id,) for flow_id, flow in enumerate(flows)]
+
+
+class TestGeneratorMatchesReference:
+    """The hoisted generator draws the PCG64 stream exactly like the
+    historical per-flow loop, so every flow is ``==``-identical."""
+
+    DISTRIBUTIONS = (web_search_distribution(0.05), cache_distribution(0.2),
+                     uniform_distribution(1, 20))
+
+    @staticmethod
+    def flows_of(spec):
+        return [(f.src_host, f.dst_host, f.size_packets, f.start_time, f.flow_id)
+                for f in spec.flows]
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS,
+                             ids=lambda d: d.name)
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_flows_equal_reference(self, distribution, paired):
+        topo = fattree(4)
+        hosts = topo.hosts
+        pairs = dict(senders=hosts[0::2], receivers=hosts[1::2]) if paired else {}
+        compared = 0
+        for seed in range(25):
+            kwargs = dict(load=0.3 + 0.1 * (seed % 5), duration=4.0, seed=seed,
+                          pair_senders_receivers=paired,
+                          max_flows=40 if seed % 3 == 0 else None,
+                          start_after=float(seed % 4), **pairs)
+            expected = reference_flows(topo, distribution, **kwargs)
+            actual = self.flows_of(generate_workload(topo, distribution, **kwargs))
+            assert actual == expected, seed
+            compared += len(expected)
+        assert compared > 100
+
+    def test_explicit_overlapping_senders_and_receivers(self):
+        # Every host both sends and receives, so each sender's candidate
+        # list excludes itself.
+        topo = leafspine(2, 2, hosts_per_leaf=2)
+        hosts = topo.hosts
+        for seed in range(10):
+            kwargs = dict(load=0.6, duration=10.0, seed=seed,
+                          senders=hosts, receivers=hosts)
+            assert self.flows_of(generate_workload(topo, CACHE_CDF, **kwargs)) \
+                == reference_flows(topo, CACHE_CDF, **kwargs)
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS + (WEB_SEARCH_CDF,),
+                             ids=lambda d: d.name)
+    def test_scalar_size_draw_matches_sample(self, distribution):
+        for seed in range(20):
+            scalar, array = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                size = distribution.sample_one(scalar)
+                assert type(size) is int
+                assert size == int(distribution.sample(array, 1)[0])
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS, ids=lambda d: d.name)
+    def test_batched_sample_matches_reference(self, distribution):
+        for seed in range(10):
+            assert np.array_equal(
+                distribution.sample(np.random.default_rng(seed), 500),
+                reference_sample(distribution, np.random.default_rng(seed), 500))
+
+    def test_missing_numpy_is_a_workload_error(self, monkeypatch):
+        from repro.workloads import distributions
+        monkeypatch.setattr(distributions, "np", None)
+        with pytest.raises(WorkloadError, match="numpy"):
+            generate_workload(fattree(4), CACHE_CDF, load=0.5, duration=5.0)
+
+
 class TestTrafficPatternPairs:
     def test_incast_all_senders_target_one_receiver(self):
         topo = fattree(4)

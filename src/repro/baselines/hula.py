@@ -21,9 +21,8 @@ The implementation here follows the published design:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.protocol.tables import FlowletTable, packet_flow_hash
 from repro.simulator.network import Network, RoutingSystem
@@ -115,6 +114,9 @@ class HulaRouting(RoutingLogic):
         self._version = 0
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
+        self._max_age = system.probe_period * (system.failure_periods + 1)
+        #: origin -> (downstream, upstream) neighbours; see _neighbors_towards.
+        self._neighbor_memo: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
 
     # --------------------------------------------------------------- lifecycle
 
@@ -135,69 +137,105 @@ class HulaRouting(RoutingLogic):
 
     # ------------------------------------------------------------------ probes
 
+    def _neighbors_towards(self, origin: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """Neighbours strictly farther from / nearer to ``origin``, sorted.
+
+        The farther ones are this switch's out-edges of the shortest-path
+        DAG rooted at ``origin`` (where its probes flood); the nearer ones
+        are its shortest-path next hops towards ``origin``.  Both depend
+        only on the static distances and the wiring, so they are computed
+        once per origin, on first use (after ``prepare``).
+        """
+        memo = self._neighbor_memo.get(origin)
+        if memo is None:
+            distances = self.system.distances.get(origin, {})
+            here = distances.get(self.name)
+            farther: List[str] = []
+            nearer: List[str] = []
+            if here is not None:
+                for neighbor in self.switch.switch_neighbors():
+                    there = distances.get(neighbor)
+                    if there is not None:
+                        if there > here:
+                            farther.append(neighbor)
+                        elif there < here:
+                            nearer.append(neighbor)
+            memo = self._neighbor_memo[origin] = (tuple(farther), tuple(nearer))
+        return memo
+
     def probe_round(self) -> None:
         self._version += 1
-        for neighbor in self._downstream_neighbors(self.name, origin=self.name):
-            self._send_probe(neighbor, origin=self.name, version=self._version, util=0.0)
+        self._multicast(self.name, self._version, 0.0, exclude=None)
 
-    def _downstream_neighbors(self, switch: str, origin: str) -> List[str]:
-        """Neighbours strictly farther from ``origin`` (the shortest-path DAG)."""
-        distances = self.system.distances
-        here = distances.get(origin, {}).get(switch)
-        if here is None:
-            return []
-        result = []
-        for neighbor in self.network.switches[switch].switch_neighbors():
-            there = distances.get(origin, {}).get(neighbor)
-            if there is not None and there > here:
-                result.append(neighbor)
-        return result
+    def _multicast(self, origin: str, version: int, util: float,
+                   exclude: Optional[str]) -> None:
+        """Send one probe down the shortest-path DAG away from ``origin``.
 
-    def _send_probe(self, neighbor: str, origin: str, version: int, util: float) -> None:
+        One packet is shared by every target link: probes are never mutated
+        in flight.
+        """
         # Believed-failed neighbours still get probes: the failed link drops
         # them, and the first probe through the recovered link is what clears
         # the far side's failure belief (recovery detection mirrors failure
         # detection — both work purely by probe arrival/silence).
-        packet = Packet(
-            kind=PacketKind.PROBE,
-            src_host=self.name,
-            dst_host="",
-            size_bytes=_HULA_PROBE_BYTES,
-            probe={"origin": origin, "version": version, "util": util},
-        )
-        self.switch.send_probe(packet, neighbor)
+        packet = None
+        ports = self.switch.ports
+        for neighbor in self._neighbors_towards(origin)[0]:
+            if neighbor == exclude:
+                continue
+            if packet is None:
+                packet = Packet(
+                    kind=PacketKind.PROBE,
+                    src_host=self.name,
+                    dst_host="",
+                    size_bytes=_HULA_PROBE_BYTES,
+                    probe={"origin": origin, "version": version, "util": util},
+                )
+            link = ports.get(neighbor)
+            if link is not None and not link.failed:
+                link.enqueue(packet)
 
     def on_probe(self, packet: Packet, inport: str) -> None:
-        now = self.network.sim.now
+        self.on_probe_batch((packet,), inport)
+
+    def on_probe_batch(self, packets: Sequence[Packet], inport: str) -> None:
+        """Process one same-tick probe run from ``inport``, in FIFO order.
+
+        The probe-silence refresh is done once per run.  The ingress link's
+        congestion is read at the first probe that needs it: nothing in the
+        run can enqueue on that link (probes never flow back to their
+        inport), so every later read in the run would return the same value.
+        """
+        now = self.network.sim._now
         self._last_probe_from[inport] = now
         self._believed_failed[inport] = False
-        data = packet.probe or {}
-        origin = data["origin"]
-        version = int(data["version"])
-        if origin == self.name:
-            return
-        # Bottleneck utilization of the traffic-direction link (this -> inport),
-        # including standing-queue pressure (same estimator Contra reads).
-        util = max(float(data["util"]), self.switch.egress(inport).congestion)
-
-        entry = self.best.get(origin)
-        accept = (
-            entry is None
-            or version > entry.version
-            or (version == entry.version and util < entry.utilization)
-        )
-        if not accept:
-            return
-        self.best[origin] = _BestHop(inport, util, version, now)
-        for neighbor in self._downstream_neighbors(self.name, origin):
-            if neighbor != inport:
-                self._send_probe(neighbor, origin, version, util)
+        name = self.name
+        best = self.best
+        congestion = None
+        for packet in packets:
+            data = packet.probe or {}
+            origin = data["origin"]
+            if origin == name:
+                continue
+            version = int(data["version"])
+            # Bottleneck utilization of the traffic-direction link (this ->
+            # inport), including standing-queue pressure (same estimator
+            # Contra reads).
+            if congestion is None:
+                congestion = self.switch.egress(inport).congestion
+            util = max(float(data["util"]), congestion)
+            entry = best.get(origin)
+            if entry is not None and version <= entry.version and not (
+                    version == entry.version and util < entry.utilization):
+                continue
+            best[origin] = _BestHop(inport, util, version, now)
+            self._multicast(origin, version, util, exclude=inport)
 
     # -------------------------------------------------------------- forwarding
 
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         destination = packet.dst_switch
-        now = self.network.sim.now
+        now = self.network.sim._now
         fid = packet_flow_hash(packet) % self.flowlets.slots
 
         pinned = self.flowlets.lookup(destination, 0, 0, fid, now)
@@ -209,7 +247,8 @@ class HulaRouting(RoutingLogic):
             self.network.stats.flowlet_expirations += 1
 
         entry = self.best.get(destination)
-        if entry is None or not self._usable(entry.next_hop) or self._stale(entry, now):
+        if entry is None or not self._usable(entry.next_hop) or \
+                now - entry.updated_at > self._max_age:
             fallback = self._fallback_next_hop(destination)
             if fallback is None:
                 return None
@@ -218,26 +257,18 @@ class HulaRouting(RoutingLogic):
         self.flowlets.install(destination, 0, 0, fid, entry.next_hop, 0, now)
         return entry.next_hop
 
-    def _stale(self, entry: _BestHop, now: float) -> bool:
-        max_age = self.system.probe_period * (self.system.failure_periods + 1)
-        return now - entry.updated_at > max_age
-
     def _usable(self, neighbor: str) -> bool:
-        return not self._believed_failed.get(neighbor, False) and \
-            not self.switch.link_failed(neighbor)
+        if self._believed_failed.get(neighbor, False):
+            return False
+        link = self.switch.ports.get(neighbor)
+        return link is not None and not link.failed
 
     def _fallback_next_hop(self, destination: str) -> Optional[str]:
         """When probe state is missing, fall back to any live shortest-path hop."""
-        distances = self.system.distances
-        here = distances.get(destination, {}).get(self.name)
-        if here is None:
-            return None
-        candidates = []
-        for neighbor in self.switch.switch_neighbors():
-            there = distances.get(destination, {}).get(neighbor)
-            if there is not None and there < here and self._usable(neighbor):
-                candidates.append(neighbor)
-        return candidates[0] if candidates else None
+        for neighbor in self._neighbors_towards(destination)[1]:
+            if self._usable(neighbor):
+                return neighbor
+        return None
 
     # ---------------------------------------------------------------- failures
 

@@ -106,15 +106,21 @@ class Rank:
             other = Rank(other)
         if not isinstance(other, Rank):
             return NotImplemented
-        a, b = self._padded_pair(other)
+        a, b = self._values, other._values
+        if len(a) != len(b):
+            a, b = self._padded_pair(other)
         return a == b
 
     def __lt__(self, other: object) -> bool:
+        # Equal lengths (every rank of one policy) compare as plain tuples;
+        # only mixed lengths need the zero padding.
         if isinstance(other, (int, float)):
             other = Rank(other)
         if not isinstance(other, Rank):
             return NotImplemented
-        a, b = self._padded_pair(other)
+        a, b = self._values, other._values
+        if len(a) != len(b):
+            a, b = self._padded_pair(other)
         return a < b
 
     def __hash__(self) -> int:

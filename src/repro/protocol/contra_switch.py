@@ -199,7 +199,14 @@ class ContraRouting(RoutingLogic):
         self._version = 0
         self._last_probe_from: Dict[str, float] = {}
         self._believed_failed: Dict[str, bool] = {}
+        # Per-packet constants of the compiled program, computed once: the
+        # probe and data-header sizes, the entry expiry age, and the
+        # product-graph multicast targets of every local tag.
         self._probe_bits = config.probe_bits()
+        self._packet_tag_bits = config.packet_tag_bits()
+        self._max_age = system.probe_period * (system.failure_periods + 1)
+        self._multicast_targets: Dict[int, Tuple[str, ...]] = {
+            tag: info.multicast_neighbors for tag, info in config.tags.items()}
 
         # Hot-path caches.  Per subpolicy: the positions of its propagation
         # attributes inside the carried metric vector, so the isotonic key
@@ -334,11 +341,15 @@ class ContraRouting(RoutingLogic):
         by-reference payload this keeps a probe round's allocations
         O(accepted probes), not O(received).
         """
+        targets = self._multicast_targets.get(payload.tag)
+        if targets is None:
+            targets = self.config.multicast_targets(payload.tag)  # canonical error
+        if not self.system.split_horizon:
+            exclude = None
         packet = None
         ports = self.switch.ports
-        split_horizon = self.system.split_horizon
-        for neighbor in self.config.multicast_targets(payload.tag):
-            if exclude is not None and split_horizon and neighbor == exclude:
+        for neighbor in targets:
+            if neighbor == exclude:
                 continue
             # Probes are still multicast towards believed-failed neighbours:
             # a failed link simply drops them, and their arrival after the
@@ -788,12 +799,13 @@ class ContraRouting(RoutingLogic):
 
     def _entry_valid(self, entry: ForwardingEntry) -> bool:
         """An entry is stale if its probes stopped or its next hop is believed dead."""
-        if self._believed_failed.get(entry.next_hop, False):
+        next_hop = entry.next_hop
+        if self._believed_failed.get(next_hop, False):
             return False
-        if self.switch.link_failed(entry.next_hop):
+        link = self.switch.ports.get(next_hop)
+        if link is None or link.failed:
             return False
-        max_age = self.system.probe_period * (self.system.failure_periods + 1)
-        return self.network.sim.now - entry.updated_at <= max_age
+        return self.network.sim._now - entry.updated_at <= self._max_age
 
     def _maybe_update_best(self, destination: str, key: FwdKey,
                            entry: ForwardingEntry) -> None:
@@ -884,9 +896,13 @@ class ContraRouting(RoutingLogic):
     def on_data_packet(self, packet: Packet, inport: str) -> Optional[str]:
         """SWIFORWARDPKT with policy-aware flowlet switching and loop breaking."""
         destination = packet.dst_switch
-        from_host = not self.network.is_switch(inport)
-        flow_hash = packet_flow_hash(packet)
-        fid = flow_hash % self.flowlets.slots
+        network = self.network
+        flowlets = self.flowlets
+        from_host = inport not in network.switches
+        flow_hash = packet.flow_hash
+        if flow_hash is None:
+            flow_hash = packet_flow_hash(packet)
+        fid = flow_hash % flowlets.slots
 
         if from_host or packet.tag is None:
             # Fresh flowlets spread across the equal-rank co-best entries by
@@ -897,31 +913,31 @@ class ContraRouting(RoutingLogic):
             _, tag, pid = best_keys[fid % len(best_keys)]
             packet.tag = tag
             packet.pid = pid
-            packet.extra_header_bits = self.config.packet_tag_bits()
+            packet.extra_header_bits = self._packet_tag_bits
 
-        now = self.network.sim.now
+        now = network.sim._now
 
         # Lazy loop breaking (§5.5): on suspicion, flush the flowlet pins so the
         # next packet re-reads the freshest FwdT entry.
         if self.loop_detector.observe_hash(flow_hash, packet.ttl, now):
-            flushed = self.flowlets.expire_flowlet_everywhere(fid)
-            self.network.stats.loop_detections += 1
-            self.network.stats.flowlet_expirations += flushed
+            flushed = flowlets.expire_flowlet_everywhere(fid)
+            network.stats.loop_detections += 1
+            network.stats.flowlet_expirations += flushed
 
-        pinned = self.flowlets.lookup(destination, packet.tag, packet.pid, fid, now)
+        pinned = flowlets.lookup(destination, packet.tag, packet.pid, fid, now)
         if pinned is not None:
             if self._usable_next_hop(pinned.next_hop):
-                self.flowlets.touch(pinned, now)
+                flowlets.touch(pinned, now)
                 packet.tag = pinned.next_tag
                 return pinned.next_hop
             # §5.4: expire flowlet entries whose next hop is along a failed link.
-            self.flowlets.expire(destination, packet.tag, packet.pid, fid)
-            self.network.stats.flowlet_expirations += 1
+            flowlets.expire(destination, packet.tag, packet.pid, fid)
+            network.stats.flowlet_expirations += 1
 
         key: FwdKey = (destination, packet.tag, packet.pid)
         entry = self.fwdt.lookup(key)
-        if entry is None or not self._entry_valid(entry) or \
-                not self._usable_next_hop(entry.next_hop):
+        # A valid entry's next hop is usable (_entry_valid checks both).
+        if entry is None or not self._entry_valid(entry):
             # The constrained path for this tag is gone; only a source switch may
             # legitimately re-tag the packet (policy compliance, §4.2).
             if from_host:
@@ -939,7 +955,7 @@ class ContraRouting(RoutingLogic):
                 return None
 
         next_hop, next_tag = self._choose_hop(entry, fid)
-        self.flowlets.install(destination, key[1], key[2], fid, next_hop, next_tag, now)
+        flowlets.install(destination, key[1], key[2], fid, next_hop, next_tag, now)
         packet.tag = next_tag
         return next_hop
 
@@ -955,8 +971,10 @@ class ContraRouting(RoutingLogic):
         return entry.next_hop, entry.next_tag
 
     def _usable_next_hop(self, neighbor: str) -> bool:
-        return not self._believed_failed.get(neighbor, False) and \
-            not self.switch.link_failed(neighbor)
+        if self._believed_failed.get(neighbor, False):
+            return False
+        link = self.switch.ports.get(neighbor)
+        return link is not None and not link.failed
 
     # ---------------------------------------------------------------- failures
 
@@ -1089,6 +1107,8 @@ def _fast_rank_evaluator(policy: Policy):
     names = tuple(item.name for item in items)
 
     def evaluate(metrics) -> Rank:
+        if metrics.names == names:      # the carried vector is the rank
+            return Rank.of_values(metrics.values)
         get = metrics.get
         return Rank.of_values(tuple(get(name) for name in names))
 

@@ -435,8 +435,10 @@ class LoopDetectionTable:
         if record is None or now - record.last_seen > self.entry_timeout:
             self._records[slot] = _LoopRecord(ttl, ttl, now)
             return False
-        record.max_ttl = max(record.max_ttl, ttl)
-        record.min_ttl = min(record.min_ttl, ttl)
+        if ttl > record.max_ttl:
+            record.max_ttl = ttl
+        elif ttl < record.min_ttl:
+            record.min_ttl = ttl
         record.last_seen = now
         if record.max_ttl - record.min_ttl > self.threshold:
             # Reset so one loop is reported once, then tracking restarts.

@@ -34,6 +34,8 @@ Times are floats in **milliseconds** throughout the simulator.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
@@ -292,13 +294,17 @@ class Simulator:
         """
         self._stopped = False
         queue = self._queue
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         processed_this_call = 0
         while queue and not self._stopped:
             entry = queue[0]
-            if until is not None and entry[0] > until:
-                self._now = until
-                return self._now
-            heapq.heappop(queue)
+            time = entry[0]
+            if time > horizon:
+                self._now = horizon
+                return horizon
+            heappop(queue)
             callback = entry[2]
             if callback is _fire_handle and not entry[3][0].active:
                 # Cancelled handle expiring: consume the tombstone without
@@ -306,11 +312,11 @@ class Simulator:
                 # comparison per pop keeps the fast path fast).
                 self._cancelled -= 1
                 continue
-            self._now = entry[0]
+            self._now = time
             callback(*entry[3])
             self._events_processed += 1
             processed_this_call += 1
-            if max_events is not None and processed_this_call >= max_events:
+            if processed_this_call >= budget:
                 break
         if self._stopped:
             # A stop during a batch member re-queues the unrun tail; make sure

@@ -85,7 +85,7 @@ class Host:
         sender = SenderState(flow, self.window, self.rto, transport=self.transport)
         self._senders[flow.flow_id] = sender
         self.stats.register_flow(flow.flow_id, flow.src_host, flow.dst_host,
-                                 flow.size_packets, self.sim.now)
+                                 flow.size_packets, self.sim._now)
         self._pump(flow.flow_id)
         self.sim.call_later(sender.first_check_delay(), self._check_timeout,
                             flow.flow_id)
@@ -118,7 +118,7 @@ class Host:
 
     def _send_segment(self, sender: SenderState) -> None:
         seq = sender.next_seq
-        sender.note_sent(seq, self.sim.now)
+        sender.note_sent(seq, self.sim._now)
         sender.next_seq = seq + 1
         self._transmit(self._data_packet(sender, seq))
 
@@ -130,7 +130,7 @@ class Host:
             flow_id=sender.flow.flow_id,
             seq=seq,
             size_bytes=DATA_PACKET_BYTES,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
         )
 
     def _transmit(self, packet: Packet) -> None:
@@ -147,8 +147,8 @@ class Host:
         if sender.completed:
             self._finish_sender(flow_id, sender)
             return
-        if sender.timeout_expired(self.sim.now):
-            sender.retransmit(self.sim.now)
+        if sender.timeout_expired(self.sim._now):
+            sender.retransmit(self.sim._now)
             self.stats.record_retransmission(flow_id)
             self._pump(flow_id)
         # Re-arm at the earliest instant the flow could possibly time out
@@ -160,7 +160,7 @@ class Host:
         # unchanged.
         delay = sender.current_rto()
         if sender.transport != "fixed":
-            remaining = sender.last_progress_time + delay - self.sim.now
+            remaining = sender.last_progress_time + delay - self.sim._now
             if remaining > 0:
                 delay = remaining
         self.sim.call_later(delay, self._check_timeout, flow_id)
@@ -187,7 +187,7 @@ class Host:
         self._streams[stream_id] = {
             "dst": dst_host,
             "interval": 1.0 / rate,
-            "end": self.sim.now + duration,
+            "end": self.sim._now + duration,
             "seq": 0,
         }
         self.sim.call_later(0.0, self._stream_tick, stream_id)
@@ -197,7 +197,7 @@ class Host:
         stream = self._streams.get(stream_id)
         if stream is None:
             return
-        if self.sim.now > stream["end"]:
+        if self.sim._now > stream["end"]:
             del self._streams[stream_id]
             return
         packet = Packet(
@@ -207,7 +207,7 @@ class Host:
             flow_id=-stream_id,           # negative ids mark unreliable streams
             seq=stream["seq"],
             size_bytes=DATA_PACKET_BYTES,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
         )
         stream["seq"] += 1
         self._transmit(packet)
@@ -217,9 +217,9 @@ class Host:
 
     def receive(self, packet: Packet, inport: str) -> None:
         """Entry point for packets delivered by the attachment switch."""
-        if packet.is_data:
+        if packet.kind == "data":
             self._receive_data(packet)
-        elif packet.is_ack:
+        elif packet.kind == "ack":
             self._receive_ack(packet)
         # Probes terminating at a host are silently ignored (should not happen).
 
@@ -227,21 +227,21 @@ class Host:
         if packet.flow_id < 0:
             # Unreliable stream: no retransmissions, every delivery is unique;
             # no ACKs, no completion tracking.
-            self.stats.record_delivery(packet, self.sim.now)
+            self.stats.record_delivery(packet, self.sim._now)
             return
         flow_id = packet.flow_id
         receiver = self._receivers.get(flow_id)
         if receiver is None:
             receiver = ReceiverState(flow_id, packet.src_host)
             self._receivers[flow_id] = receiver
-        self.stats.record_delivery(packet, self.sim.now,
+        self.stats.record_delivery(packet, self.sim._now,
                                    duplicate=receiver.has_seen(packet.seq))
         total = self.stats.flows[flow_id].size_packets if flow_id in self.stats.flows \
             else packet.seq + 1
         previous_ack = receiver.cumulative_ack
         ack_seq = receiver.on_data(packet.seq, total)
         if receiver.completed:
-            self.stats.complete_flow(flow_id, self.sim.now)
+            self.stats.complete_flow(flow_id, self.sim._now)
         if self.ack_every > 1:
             # Coalescing applies only to in-order progress on an incomplete
             # flow; out-of-order and duplicate segments must produce their
@@ -275,7 +275,7 @@ class Host:
             flow_id=flow_id,
             ack_seq=ack_seq,
             size_bytes=ACK_PACKET_BYTES,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
         ))
 
     def _flush_held_ack(self, flow_id: int) -> None:
@@ -296,7 +296,7 @@ class Host:
         sender = self._senders.get(packet.flow_id)
         if sender is None:
             return
-        if sender.on_ack(packet.ack_seq, self.sim.now):
+        if sender.on_ack(packet.ack_seq, self.sim._now):
             if sender.completed:
                 self._finish_sender(packet.flow_id, sender)
             else:

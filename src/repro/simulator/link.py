@@ -138,11 +138,13 @@ class SimLink:
 
     def enqueue(self, packet: Packet) -> bool:
         """Accept a packet for transmission; returns False if it was dropped."""
+        stats = self.stats
         if self.failed:
             self.packets_dropped += 1
-            if self.stats is not None:
-                self.stats.record_drop(self, packet)
+            if stats is not None:
+                stats.record_drop(self, packet)
             return False
+        sim = self.sim
         if packet.kind == "probe":
             # Control lane: probes have strict priority over data (the
             # standard treatment for in-band control traffic — Hula and
@@ -154,11 +156,24 @@ class SimLink:
             # whole same-tick probe wave shares one engine heap entry (batch
             # lane), with this link's consecutive probes merged into a single
             # delivery call.
-            sim = self.sim
             wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
             tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
-            self._record_probe_transmission(tx_time, wire_bytes)
-            arrival = sim._now + tx_time + self.latency
+            # Transmission accounting and EWMA update (_decayed_util, written
+            # back), as in _transmit_next minus the kind dispatch.
+            self.packets_sent += 1
+            self.bytes_sent += wire_bytes
+            if stats is not None:
+                stats.total_packets += 1
+                stats.probe_bytes += wire_bytes
+            now = sim._now
+            elapsed = now - self._last_util_update
+            if elapsed > 0:
+                decay = 1.0 - elapsed / self.util_window
+                self._util *= decay if decay > 0.0 else 0.0
+                self._last_util_update = now
+            util = self._util + tx_time / self.util_window
+            self._util = util if util < 1.5 else 1.5
+            arrival = now + tx_time + self.latency
             if self.collect_probe_runs:
                 # The wave rides inside the batch-lane key: every member of
                 # a run carries (epoch, wave), so delivery needs no lookup,
@@ -177,22 +192,25 @@ class SimLink:
                 sim.call_batched(arrival, self._deliver_probe_run,
                                  self._fail_epoch, packet)
             return True
-        if len(self._queue) >= self.buffer_packets:
+        queue = self._queue
+        if len(queue) >= self.buffer_packets:
             self.packets_dropped += 1
-            if self.stats is not None:
-                self.stats.record_drop(self, packet)
+            if stats is not None:
+                stats.record_drop(self, packet)
             return False
-        self._queue.append(packet)
-        if self.stats is not None:
-            self.stats.record_queue_length(self, len(self._queue))
+        queue.append(packet)
+        if stats is not None:
+            # Inlined StatsCollector.record_queue_length (once per data
+            # packet per hop).
+            stats.queue_histogram.record(len(queue))
         if not self._drain_pending:
-            if self.sim.now >= self._busy_until:
+            if sim._now >= self._busy_until:
                 self._transmit_next()
             else:
                 # Serializer busy with an earlier packet: one drain event
                 # covers every packet queued behind it (batch scheduling).
                 self._drain_pending = True
-                self.sim.call_at(self._busy_until, self._drain)
+                sim.call_at(self._busy_until, self._drain)
         return True
 
     def _drain(self) -> None:
@@ -202,18 +220,47 @@ class SimLink:
             self._transmit_next()
 
     def _transmit_next(self) -> None:
-        packet = self._queue.popleft()
-        wire_bytes = packet.size_bytes + packet.extra_header_bits * 0.125
+        queue = self._queue
+        packet = queue.popleft()
+        size_bytes = packet.size_bytes
+        extra_bytes = packet.extra_header_bits * 0.125
+        wire_bytes = size_bytes + extra_bytes
         tx_time = wire_bytes / DATA_PACKET_BYTES / self.capacity
-        self._record_transmission(packet, tx_time, wire_bytes)
-        self._busy_until = self.sim.now + tx_time
+        self.packets_sent += 1
+        self.bytes_sent += wire_bytes
+        stats = self.stats
+        if stats is not None:
+            # Inlined StatsCollector.record_transmission: the byte accounting
+            # runs once per transmitted packet and the call frame showed up in
+            # profiles.
+            stats.total_packets += 1
+            kind = packet.kind
+            if kind == "data":
+                stats.data_bytes += size_bytes
+                stats.tag_overhead_bytes += extra_bytes
+            elif kind == "ack":
+                stats.ack_bytes += wire_bytes
+            else:
+                stats.probe_bytes += wire_bytes
+        # Utilization EWMA: decay to now (_decayed_util, written back), then
+        # add this transmission's busy time over the averaging window.
+        sim = self.sim
+        now = sim._now
+        elapsed = now - self._last_util_update
+        if elapsed > 0:
+            decay = 1.0 - elapsed / self.util_window
+            self._util *= decay if decay > 0.0 else 0.0
+            self._last_util_update = now
+        util = self._util + tx_time / self.util_window
+        self._util = util if util < 1.5 else 1.5
+        busy_until = self._busy_until = now + tx_time
         # One event delivers the packet after serialization + propagation; the
         # epoch guard loses it if the link fails while it is in flight.
-        self.sim.call_at(self._busy_until + self.latency,
-                         self._deliver_packet, packet, self._fail_epoch)
-        if self._queue:
+        sim.call_at(busy_until + self.latency,
+                    self._deliver_packet, packet, self._fail_epoch)
+        if queue:
             self._drain_pending = True
-            self.sim.call_at(self._busy_until, self._drain)
+            sim.call_at(busy_until, self._drain)
 
     def _deliver_packet(self, packet: Packet, epoch: int) -> None:
         if self.deliver is not None and not self.failed and epoch == self._fail_epoch:
@@ -290,61 +337,27 @@ class SimLink:
 
     # ----------------------------------------------------------- utilization
 
-    def _record_transmission(self, packet: Packet, tx_time: float,
-                             wire_bytes: float) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += wire_bytes
-        stats = self.stats
-        if stats is not None:
-            # Inlined StatsCollector.record_transmission: the byte accounting
-            # runs once per transmitted packet and the call frame showed up in
-            # profiles.
-            stats.total_packets += 1
-            kind = packet.kind
-            if kind == "data":
-                stats.data_bytes += packet.size_bytes
-                stats.tag_overhead_bytes += packet.extra_header_bits * 0.125
-            elif kind == "ack":
-                stats.ack_bytes += wire_bytes
-            else:
-                stats.probe_bytes += wire_bytes
-        self._decay_util()
-        # Each transmission contributes its busy time over the averaging window.
-        self._util = min(1.5, self._util + tx_time / self.util_window)
+    @property
+    def utilization(self) -> float:
+        """Current utilization estimate in [0, 1] (decayed to *now*).
 
-    def _record_probe_transmission(self, tx_time: float, wire_bytes: float) -> None:
-        """Probe-lane variant of :meth:`_record_transmission` (no kind dispatch).
-
-        Identical arithmetic in identical order; the EWMA decay is inlined so
-        the per-probe cost is one clock read plus the accumulator updates.
+        A pure read: the decay is applied to a local copy.  The linear decay
+        does not compose (decaying over 0.3 ms and then 0.9 ms is not the
+        decay over 1.2 ms), so writing it back would let an observer change
+        the estimate that later probes see.
         """
-        self.packets_sent += 1
-        self.bytes_sent += wire_bytes
-        stats = self.stats
-        if stats is not None:
-            stats.total_packets += 1
-            stats.probe_bytes += wire_bytes
-        now = self.sim._now
+        return min(1.0, self._decayed_util(self.sim._now))
+
+    def _decayed_util(self, now: float) -> float:
+        """The EWMA decayed linearly from its last update to ``now``.
+
+        The transmit paths inline this arithmetic and write it back.
+        """
         elapsed = now - self._last_util_update
         if elapsed > 0:
             decay = 1.0 - elapsed / self.util_window
-            self._util *= decay if decay > 0.0 else 0.0
-            self._last_util_update = now
-        self._util = min(1.5, self._util + tx_time / self.util_window)
-
-    def _decay_util(self) -> None:
-        now = self.sim.now
-        elapsed = now - self._last_util_update
-        if elapsed > 0:
-            decay = max(0.0, 1.0 - elapsed / self.util_window)
-            self._util *= decay
-            self._last_util_update = now
-
-    @property
-    def utilization(self) -> float:
-        """Current utilization estimate in [0, ~1.5] (decayed to *now*)."""
-        self._decay_util()
-        return min(1.0, self._util)
+            return self._util * (decay if decay > 0.0 else 0.0)
+        return self._util
 
     # ---------------------------------------------------------------- failure
 
@@ -385,6 +398,12 @@ class SimLink:
         queue actually empties; this is local data-plane state every switch
         has, exactly like the utilization register (cf. the
         flowlet-timeout/util-window tail interaction of Figure 13).
+
+        Unlike :attr:`utilization`, this read writes the decay back to the
+        estimator, as a transmission does.  That is part of the model: the
+        probe plane has always read congestion this way, and every recorded
+        result depends on the sequence of decay checkpoints it produces, so
+        a pure read here would change simulated output.
         """
         now = self.sim._now
         sent = self.packets_sent
@@ -392,8 +411,10 @@ class SimLink:
         if now == self._congestion_now and sent == self._congestion_sent \
                 and qlen == self._congestion_qlen:
             return self._congestion_value
+        util = self._util = self._decayed_util(now)
+        self._last_util_update = now
         backlog = qlen / (self.capacity * self.util_window)
-        value = min(1.0, self._util_now()) + backlog
+        value = min(1.0, util) + backlog
         quantum = self.UTIL_QUANTUM
         value = round(value * quantum) / quantum
         self._congestion_now = now
@@ -401,10 +422,6 @@ class SimLink:
         self._congestion_qlen = qlen
         self._congestion_value = value
         return value
-
-    def _util_now(self) -> float:
-        self._decay_util()
-        return self._util
 
     def metric_values(self) -> dict:
         """The per-link metric values probes fold into their metric vectors."""

@@ -125,6 +125,19 @@ class Network:
             dst_node = self.switches.get(link.dst) or self.hosts.get(link.dst)
             if dst_node is None:  # pragma: no cover - topology guarantees a node
                 raise SimulationError(f"link {link.src}->{link.dst} has no destination node")
+            # Coalesced probe runs go straight to the receiving routing
+            # logic: its wave entry point when it judges whole runs (the
+            # link then accumulates them), its run entry point otherwise.
+            # Hosts never receive probes; the per-packet fallback silently
+            # ignores any that reach one.
+            routing = getattr(dst_node, "routing", None)
+            wants_waves = routing is not None and routing.wants_probe_waves
+            if routing is None:
+                deliver_batch = None
+            elif wants_waves:
+                deliver_batch = routing.on_probe_wave
+            else:
+                deliver_batch = routing.on_probe_batch
             sim_link = SimLink(
                 self.sim, link.src, link.dst,
                 capacity=link.capacity, latency=link.latency,
@@ -132,16 +145,9 @@ class Network:
                 deliver=dst_node.receive,
                 stats=self.stats,
                 util_window=self.util_window,
-                # Coalesced probe runs go straight to the switch's vectorized
-                # entry point (hosts never receive probes; the per-packet
-                # fallback silently ignores any that reach one).
-                deliver_batch=getattr(dst_node, "receive_probe_batch", None),
+                deliver_batch=deliver_batch,
             )
-            # Links towards a wave-judging routing logic accumulate their
-            # same-tick probe runs into wave views (array probe plane).
-            dst_routing = getattr(dst_node, "routing", None)
-            if dst_routing is not None and getattr(dst_routing, "wants_probe_waves", False):
-                sim_link.collect_probe_runs = True
+            sim_link.collect_probe_runs = wants_waves
             self.links[(link.src, link.dst)] = sim_link
             if link.src in self.switches:
                 self.switches[link.src].add_port(link.dst, sim_link)

@@ -59,8 +59,10 @@ class RoutingLogic:
 
     #: Set True (with an :meth:`on_probe_wave` override) by logics that judge
     #: whole ``(link, tick)`` probe runs through the struct-of-arrays
-    #: :class:`~repro.simulator.probe_wave.ProbeWave` view.  Read at switch
-    #: wiring time: links towards such a switch accumulate their runs.
+    #: :class:`~repro.simulator.probe_wave.ProbeWave` view.  Read at network
+    #: wiring time: links towards such a switch accumulate their runs and
+    #: hand them to :meth:`on_probe_wave`; links towards any other switch
+    #: hand their runs to :meth:`on_probe_batch`.
     wants_probe_waves = False
 
     def on_probe_wave(self, packets: Sequence[Packet], inport: str,
@@ -94,10 +96,6 @@ class SwitchNode:
         #: hosts attached directly to this switch.
         self.attached_hosts: List[str] = []
         routing.attach(self, network)
-        #: Wave-view sink, bound once at wiring time: coalesced probe runs go
-        #: to the routing logic's array fast path when it asked for one, and
-        #: straight to the per-packet-list entry point otherwise.
-        self._wave_sink = routing.on_probe_wave if routing.wants_probe_waves else None
 
     # ------------------------------------------------------------------ wiring
 
@@ -127,64 +125,48 @@ class SwitchNode:
 
     # ----------------------------------------------------------------- receive
 
-    def receive_probe_batch(self, packets: Sequence[Packet], inport: str,
-                            wave: Optional[ProbeWave] = None) -> None:
-        """Entry point for one batch-lane member of a same-tick probe run.
-
-        ``wave`` is the link's accumulated run view (built once per
-        ``(link, tick)`` run at enqueue time); a wave-judging routing logic
-        uses it to judge the run at its first member and annotate the rest.
-        """
-        wave_sink = self._wave_sink
-        if wave_sink is not None:
-            wave_sink(packets, inport, wave)
-        else:
-            self.routing.on_probe_batch(packets, inport)
-
     def receive(self, packet: Packet, inport: str) -> None:
         """Entry point for packets delivered by an ingress link."""
-        if packet.kind == "probe":
+        kind = packet.kind
+        if kind == "probe":
             self.routing.on_probe(packet, inport)
             return
 
+        stats = self.stats
         # Measurement only: record the path and spot revisits (loops).
-        if self.stats.record_paths and packet.kind == "data":
+        if stats.record_paths and kind == "data":
             if packet.path_trace is None:
                 packet.path_trace = []
             if self.name in packet.path_trace and not packet.looped:
                 packet.looped = True
-                self.stats.looped_packets += 1
+                stats.looped_packets += 1
             packet.path_trace.append(self.name)
 
         # Local delivery to an attached host.
-        if packet.dst_host in self.ports and packet.dst_switch == self.name:
-            self.ports[packet.dst_host].enqueue(packet)
+        ports = self.ports
+        dst_host = packet.dst_host
+        if dst_host in ports and packet.dst_switch == self.name:
+            ports[dst_host].enqueue(packet)
             return
 
         packet.ttl -= 1
         if packet.ttl <= 0:
-            self.stats.record_switch_drop(packet)
+            stats.record_switch_drop(packet)
             return
 
         next_hop = self.routing.on_data_packet(packet, inport)
         if next_hop is None:
-            self.stats.record_switch_drop(packet)
+            stats.record_switch_drop(packet)
             return
-        link = self.ports.get(next_hop)
+        link = ports.get(next_hop)
         if link is None:
-            self.stats.record_switch_drop(packet)
+            stats.record_switch_drop(packet)
             return
-        if packet.kind == "data":
-            self.stats.data_packets_forwarded += 1
+        if kind == "data":
+            stats.data_packets_forwarded += 1
         link.enqueue(packet)
 
     # ------------------------------------------------------------------- misc
-
-    def send_probe(self, packet: Packet, neighbor: str) -> None:
-        """Transmit a probe towards a neighbouring switch (if the link is up)."""
-        link = self.ports.get(neighbor)
-        if link is not None and not link.failed:
-            link.enqueue(packet)
 
     def __repr__(self) -> str:
         return f"SwitchNode({self.name}, ports={len(self.ports)})"

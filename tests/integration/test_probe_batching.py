@@ -88,15 +88,11 @@ class TestOnProbeBatchEquivalence:
         for batch in (True, False):
             network, system = self._fabric()
             if not batch:
-                for switch in network.switches.values():
-                    # Route every coalesced run through the per-probe wrapper.
-                    logic = switch.routing
-                    switch.receive_probe_batch = (
-                        lambda packets, inport, logic=logic: [
-                            logic.on_probe(packet, inport) for packet in packets])
                 for link in network.links.values():
                     if link.deliver_batch is not None:
-                        link.deliver_batch = None  # per-packet fallback path
+                        # Per-packet fallback: every probe reaches the
+                        # switch's receive() and from there on_probe().
+                        link.deliver_batch = None
             network.run(period * 4)
             snapshot = {name: system.logic(name).forwarding_snapshot()
                         for name in network.switches}

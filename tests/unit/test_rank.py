@@ -177,3 +177,48 @@ class TestProperties:
     @given(rank_values, rank_values)
     def test_combine_min_is_commutative(self, a, b):
         assert Rank(a).combine_min(Rank(b)) == Rank(b).combine_min(Rank(a))
+
+
+#: Rank components with the edge values the comparison fast path must keep:
+#: both infinities and a negative zero, which equals 0.0 (and so pads like it).
+edge_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False))
+
+
+def _padded(a, b):
+    n = max(len(a), len(b))
+    return a + (0.0,) * (n - len(a)), b + (0.0,) * (n - len(b))
+
+
+@st.composite
+def rank_pairs(draw):
+    """Two component tuples, of equal length half the time."""
+    first = tuple(draw(st.lists(edge_components, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        size = len(first)
+    else:
+        size = draw(st.integers(min_value=1, max_value=4))
+    second = tuple(draw(st.lists(edge_components, min_size=size, max_size=size)))
+    return first, second
+
+
+class TestComparisonMatchesPaddedTuples:
+    """``<``, ``==`` and ``<=`` agree with comparing zero-padded tuples."""
+
+    @given(rank_pairs())
+    def test_comparisons(self, pair):
+        a, b = pair
+        ra, rb = Rank(a), Rank(b)
+        pa, pb = _padded(a, b)
+        assert (ra < rb) == (pa < pb)
+        assert (ra == rb) == (pa == pb)
+        assert (ra <= rb) == (pa <= pb)
+        assert (rb < ra) == (pb < pa)
+        assert (ra != rb) == (pa != pb)
+
+    def test_negative_zero_and_padding(self):
+        assert Rank((1.0, -0.0)) == Rank((1.0,))
+        assert not Rank((1.0, -0.0)) < Rank((1.0, 0.0))
+        assert Rank((-0.0,)) == Rank((0.0, 0.0))
+        assert Rank((-math.inf, 2.0)) < Rank((-math.inf, math.inf))

@@ -18,11 +18,12 @@ import pytest
 from repro.core.attributes import MetricVector
 from repro.core.compiler import compile_policy
 from repro.core.policies import MU
-from repro.baselines import ShortestPathSystem
+from repro.baselines import HulaSystem, ShortestPathSystem
 from repro.nputil import HAVE_NUMPY, np
 from repro.protocol import ContraSystem
 from repro.protocol.probe import ProbePayload, make_probe_packet
 from repro.simulator import Flow, Network, Simulator
+from repro.simulator import sanitizer as sanitizer_module
 from repro.simulator.sanitizer import (SanitizerError, SanitizingSimulator,
                                        Violation)
 from repro.topology import leafspine
@@ -83,6 +84,56 @@ class TestPlumbing:
         assert "demo" in text and "Host._transmit" in text
         assert violation.to_json_dict()["tag"] == ["Host._transmit",
                                                    "Host.start_flow"]
+
+
+def _sanitizer_wrapper(function) -> bool:
+    """Whether ``function`` is one of the sanitizer's instance-level wrappers."""
+    code = getattr(function, "__code__", None)
+    return code is not None and code.co_filename == sanitizer_module.__file__ \
+        and hasattr(function, "__wrapped__")
+
+
+class TestLinkWrapping:
+    """Every link method the sanitizer checks stays patchable per instance.
+
+    The hot paths read these through the link instance, so wrapping the
+    instance attribute is what puts the runtime checks on them.  A link
+    that cached a bound method (or a network that wired a probe sink past
+    the link's own attribute) would bypass the checks silently.
+    """
+
+    @pytest.mark.parametrize("system_name", ["contra", "contra-waves", "hula"])
+    def test_checked_link_methods_are_the_sanitizer_wrappers(self, system_name):
+        topo = leafspine(2, 2, hosts_per_leaf=1, capacity=50.0)
+        if system_name == "hula":
+            system = HulaSystem(probe_period=0.25)
+        else:
+            waves = system_name == "contra-waves"
+            if waves and not HAVE_NUMPY:
+                pytest.skip("the array probe plane needs numpy")
+            system = ContraSystem(compile_policy(MU(), topo),
+                                  probe_vectorize=waves)
+        network = Network(topo, system, sanitize=True)
+        for key in sorted(network.links):
+            link = network.links[key]
+            for name in ("enqueue", "_transmit_next", "_deliver_packet",
+                         "_deliver_probe_run"):
+                assert _sanitizer_wrapper(link.__dict__.get(name)), (key, name)
+            switch = network.switches.get(link.dst)
+            if switch is None:
+                assert link.deliver_batch is None
+                continue
+            # The probe sink is bound straight to the routing logic, and the
+            # sanitizer wraps that binding.
+            sink = link.deliver_batch
+            assert _sanitizer_wrapper(sink), key
+            routing = switch.routing
+            expected = (routing.on_probe_wave if routing.wants_probe_waves
+                        else routing.on_probe_batch)
+            assert sink.__wrapped__ == expected
+            assert link.collect_probe_runs == routing.wants_probe_waves
+        assert any(link.collect_probe_runs for link in network.links.values()) \
+            == (system_name == "contra-waves")
 
 
 class TestEngineInvariants:

@@ -176,6 +176,30 @@ class TestSimLink:
         sim.run()
         assert link.utilization < busy_util
 
+    def test_reading_utilization_does_not_change_the_estimate(self):
+        # Transmit at t=0 and t=1.2; one of two identical links is read at
+        # t=0.3 in between.  The linear decay does not compose, so a read
+        # that wrote its decay back would leave that link's estimate (and the
+        # probe-visible congestion) higher at t=1.2.
+        def run(read_at):
+            sim, link, _ = self.make_link(capacity=1.25, latency=0.0,
+                                          buffer_packets=10)
+            seen = []
+            sim.call_at(0.0, link.enqueue, self.packet())
+            if read_at is not None:
+                sim.call_at(read_at, lambda: seen.append(link.utilization))
+            sim.call_at(1.2, link.enqueue, self.packet())
+            sim.call_at(1.2, lambda: seen.append(link.congestion))
+            sim.run(until=1.2)
+            return link._util, seen
+
+        util, (congestion,) = run(None)
+        util_read, (read, congestion_read) = run(0.3)
+        assert read == pytest.approx(0.8 * 0.7)
+        assert util_read == util
+        assert congestion_read == congestion
+        assert util == pytest.approx(0.8)
+
     def test_metric_values_exposes_util_lat_len(self):
         _, link, _ = self.make_link(latency=0.25)
         values = link.metric_values()
